@@ -8,7 +8,7 @@
     widecat wide-cat export FILE [--format dot|json] [--drop-zero-object]
     widecat sequences {list,count} FILE --length T
     widecat factorizations FILE --morphism '["S2","P1[1]"]' [--source '[...]']
-    widecat verify FILE [--suites a,b,...] [--jobs N]
+    widecat verify FILE [--suites a,b,...]
 
 Common flags: --field overrides the field declared in the file, --budget
 caps the iso-class enumeration, --cache-dir reuses stored enumerations,
@@ -250,7 +250,7 @@ def _cmd_verify(args) -> int:
         if bad:
             raise InputError(f"unknown suites {bad}; "
                              f"choose from {', '.join(SUITE_NAMES)}")
-    reports = run_verify(ctx, suites=suites, algebra=args.file, jobs=args.jobs)
+    reports = run_verify(ctx, suites=suites, algebra=args.file)
     if fmt == "json":
         _emit_json({"reports": [r.to_json() for r in reports]})
     else:
@@ -319,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(p)
     p.add_argument("--suites", default="all",
                    help="comma-separated suite names (default: all)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for pure sweeps")
     p.set_defaults(fn=_cmd_verify)
     return top
 

@@ -8,8 +8,7 @@ radical summands, both AR translates, almost-split middle terms, and socle
 quotients; a budget caps the number of iso classes so representation-infinite
 input fails fast instead of spinning.
 
-Caches are plain dicts; values are deterministic, so a rare duplicated
-computation under concurrent access is harmless.
+Caches are plain dicts filled on first use; every value is deterministic.
 """
 from __future__ import annotations
 

@@ -56,14 +56,6 @@ class DecompositionFailure(WidecatError):
     """Fitting decomposition could not split nor certify indecomposability."""
 
 
-class EnumerationRequired(WidecatError):
-    """The operation needs the full indecomposable enumeration first."""
-
-
-class NotFunctoriallyFinite(WidecatError):
-    """An approximation into a subcategory could not be formed."""
-
-
 class NotSupportTauRigid(WidecatError):
     pass
 

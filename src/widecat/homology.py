@@ -38,11 +38,6 @@ class TwoTermComplex:
         return self.p0.alg
 
 
-def module_as_complex(m: Module) -> TwoTermComplex:
-    z = zero_module(m.alg)
-    return TwoTermComplex(z, m, zero_morphism(z, m))
-
-
 def shifted_complex(q: Module) -> TwoTermComplex:
     """The complex (q -> 0), i.e. q placed in degree -1."""
     z = zero_module(q.alg)
@@ -421,10 +416,6 @@ def chain_maps_mod_homotopy(c: TwoTermComplex, d: TwoTermComplex
             reps.append((f1, f0))
             span = linalg.row_space_reduce(fd, span + [vec])
     return reps
-
-
-def hom_k_dim(c: TwoTermComplex, d: TwoTermComplex) -> int:
-    return len(chain_maps_mod_homotopy(c, d))
 
 
 def shifted_hom_dim(c: TwoTermComplex, d: TwoTermComplex) -> int:

@@ -55,16 +55,8 @@ def mat_add(field: FieldSpec, a, b):
     return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(field: FieldSpec, a, b):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(field: FieldSpec, c, a):
     return [[field.mul(c, x) for x in row] for row in a]
-
-
-def mat_neg(field: FieldSpec, a):
-    return [[field.neg(x) for x in row] for row in a]
 
 
 def transpose(m: list[list]) -> list[list]:

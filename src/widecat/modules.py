@@ -262,20 +262,6 @@ def sum_inclusion(mods: list[Module], k: int, total: Module | None = None) -> Mo
     return ModuleMorphism(mods[k], total, mats)
 
 
-def sum_projection(mods: list[Module], k: int, total: Module | None = None) -> ModuleMorphism:
-    total = total or direct_sum(mods)
-    alg = mods[0].alg
-    f = alg.field
-    mats = {}
-    for v in range(alg.n):
-        m = linalg.zeros(f, mods[k].dims[v], total.dims[v])
-        off = sum(mods[i].dims[v] for i in range(k))
-        for i in range(mods[k].dims[v]):
-            m[i][off + i] = f.one
-        mats[v] = m
-    return ModuleMorphism(total, mods[k], mats)
-
-
 def hstack_morphisms(fs: list[ModuleMorphism], source_sum: Module | None = None) -> ModuleMorphism:
     """Combine maps f_k: M_k -> N into one map from the direct sum of sources."""
     target = fs[0].target
@@ -886,38 +872,6 @@ def _match_summands(ms: list[Module], ns: list[Module]) -> bool:
         else:
             return False
     return True
-
-
-def find_isomorphism(m: Module, n: Module) -> ModuleMorphism | None:
-    """An explicit isomorphism, or None.
-
-    Basis scan first; for decomposable modules a structured integer grid
-    over the Hom basis is searched (complete because the determinant of a
-    generic combination is a polynomial of degree <= total dimension in each
-    coefficient, and the grid has more points per axis than that degree).
-    """
-    if m.dims != n.dims:
-        return None
-    homs = hom_basis(m, n)
-    direct = _invertible_in_homs(homs)
-    if direct is not None:
-        return direct
-    if not is_isomorphic(m, n):
-        return None
-    fd = m.alg.field
-    d = m.total_dim
-    grid = [fd.of(k) for k in range(d + 2)]
-    if len(grid) ** len(homs) > 2_000_000:
-        raise DecompositionFailure(
-            "isomorphism search grid too large; modules are isomorphic but "
-            "no explicit map was constructed")
-    for point in itertools.product(grid, repeat=len(homs)):
-        f = homs[0].scale(point[0])
-        for c, h in zip(point[1:], homs[1:]):
-            f = f.add(h.scale(c))
-        if f.is_invertible():
-            return f
-    raise DecompositionFailure("isomorphic modules but grid found no isomorphism")
 
 
 # -- iso-class registry --------------------------------------------------------

@@ -3,7 +3,9 @@
 Given a support tau-rigid object in the world W, `wide_of` computes the
 associated wide subcategory (the members of W with no maps from the module
 part, no extensions against its generated classes, and no maps from the
-shifted projectives).  `e_map` computes the reduction bijection on summands:
+shifted projectives).  The reduction bijection E is computed on one summand
+by `e_map_key`, tabulated once per (W, object) by `e_table`, and read from
+that table by `e_map` and its inverse `f_map`.  `e_map_key` works as follows:
 
 * module part U first (case I):
   (a) X not generated by U inside W: E(X) = X / trace of U;
@@ -188,7 +190,8 @@ def e_map(ctx: Context, w: WideSubcategory | None, obj: CObject, x: CObject) -> 
     if not is_support_tau_rigid(ctx, w, union):
         raise NotCompatible(
             "the direct sum with the reduction object is not support tau-rigid")
-    keys = [e_map_key(ctx, w, obj, k) for k in x.keys()]
+    table = e_table(ctx, w, obj)
+    keys = [table[k] for k in x.keys()]
     _expect(len(set(keys)) == len(keys), "reduction images of summands collided")
     out = CObject.from_keys(keys)
     _expect(out.delta == x.delta, "reduction changed the number of summands")

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .arquiver import radical_hom_basis
 from .context import Context
 from .errors import NotSupportTauRigid, WidecatError
 from .modules import (Module, ModuleMorphism, cokernel, hom_basis,
-                      hstack_morphisms, local_radical_basis, zero_module,
-                      zero_morphism)
+                      hstack_morphisms, zero_module, zero_morphism)
 
 # A summand key: ('m', class_id) for a module summand, ('s', class_id) for a
 # shifted Ext-projective summand.
@@ -168,10 +168,11 @@ def hom_tau_vanishes(ctx: Context, w: WideSubcategory | None, i: int, j: int) ->
 
 def ext_projective_ids(ctx: Context, w: WideSubcategory) -> list[int]:
     """Ext-projectives of W (extensions in W are absolute, so Ext^1 is too)."""
-    out = []
-    for i in w.key:
-        if all(ctx.ext1(i, j) == 0 for j in w.key):
-            out.append(i)
+    memo_key = ("extproj", w.key)
+    if memo_key in ctx.memo:
+        return list(ctx.memo[memo_key])
+    out = [i for i in w.key if all(ctx.ext1(i, j) == 0 for j in w.key)]
+    ctx.memo[memo_key] = tuple(out)
     return out
 
 
@@ -262,12 +263,6 @@ def wide_rank(ctx: Context, w: WideSubcategory) -> int:
 
 # -- minimal approximations -------------------------------------------------------
 
-def _radical_hom(ctx: Context, i: int, j: int) -> list[ModuleMorphism]:
-    if i != j:
-        return ctx.hom(i, j)
-    return local_radical_basis(ctx.rep(i), ctx.hom(i, i))
-
-
 def minimal_right_approximation(ctx: Context, source_ids, x: Module
                                 ) -> tuple[ModuleMorphism, list[int]]:
     """Minimal right add(sum of the sources)-approximation of x.
@@ -289,7 +284,7 @@ def minimal_right_approximation(ctx: Context, source_ids, x: Module
             outer = hom_basis(ctx.rep(j), x)
             if not outer:
                 continue
-            for r in _radical_hom(ctx, i, j):
+            for r in radical_hom_basis(ctx, i, j):
                 for g in outer:
                     vec = g.compose(r).flatten()
                     if any(t != 0 for t in vec):
@@ -330,20 +325,11 @@ def perp_tau_members(ctx: Context, u_ids) -> frozenset[int]:
     return frozenset(out)
 
 
-def ext_projectives_of_class(ctx: Context, members: frozenset[int]) -> list[int]:
-    """Ext-projectives of a torsion class given by its member ids."""
-    out = []
-    for i in sorted(members):
-        if all(ctx.ext1(i, j) == 0 for j in sorted(members)):
-            out.append(i)
-    return out
-
-
 def bongartz_complement(ctx: Context, u_ids) -> tuple[int, ...]:
     """Summand ids completing a tau-rigid module to a tau-tilting one."""
     u_set = set(u_ids)
     perp = perp_tau_members(ctx, u_ids)
-    projs = ext_projectives_of_class(ctx, perp)
+    projs = ext_projective_ids(ctx, WideSubcategory(perp))
     if not u_set <= set(projs):
         raise NotSupportTauRigid(
             "input is not tau-rigid (it is not Ext-projective in its own "

@@ -12,9 +12,9 @@ reduction and confirm that the bijection suite catches it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .category import (WideCategory, enumerate_wide_subcategories,
@@ -83,14 +83,6 @@ class VerificationReport:
         }
 
 
-def _map(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _image(table: dict, x: CObject) -> CObject:
     return CObject.from_keys([table[k] for k in x.keys()])
 
@@ -103,22 +95,16 @@ def _members(ctx: Context, w) -> str:
 # suites
 
 
-def _suite_homological(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_homological(ctx: Context, rep: VerificationReport,
                        table_impl) -> None:
     """Three equivalent readings of rigidity, plus translate round trips."""
     ids = ctx.ind_ids()
-
-    def probe(pair):
-        u, x = pair
+    for u, x in itertools.product(ids, repeat=2):
         t = ctx.tau(x)
-        module_level = t is None or ctx.hom_dim(u, t) == 0
-        complex_level = shifted_hom_dim(ctx.pres(x).cplx, ctx.pres(u).cplx) == 0
+        a = t is None or ctx.hom_dim(u, t) == 0
+        b = shifted_hom_dim(ctx.pres(x).cplx, ctx.pres(u).cplx) == 0
         gen = sorted(ctx.gen_members(frozenset([u])))
-        ext_level = all(ctx.ext1(x, g) == 0 for g in gen)
-        return u, x, module_level, complex_level, ext_level
-
-    pairs = [(u, x) for u in ids for x in ids]
-    for u, x, a, b, c in _map(probe, pairs, jobs):
+        c = all(ctx.ext1(x, g) == 0 for g in gen)
         at = f"U={ctx.label(u)}, X={ctx.label(x)}"
         rep.check("rigidity-module-vs-two-term", a == b,
                   f"{at}: vanishing of maps into the translate says {a}, "
@@ -139,16 +125,14 @@ def _suite_homological(ctx: Context, rep: VerificationReport, jobs: int,
                       f"{ctx.label(ctx.tau(ti)) if ctx.tau(ti) is not None else 0}")
 
 
-def _suite_bijection(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_bijection(ctx: Context, rep: VerificationReport,
                      table_impl) -> None:
     """The reduction is a summand-count-preserving bijection, for every object."""
     full = full_subcategory(ctx)
     objs = strigid_objects(ctx, full)
-
-    def probe(u):
-        return u, wide_of(ctx, None, u), table_impl(ctx, None, u)
-
-    for u, w1, table in _map(probe, objs, jobs):
+    for u in objs:
+        w1 = wide_of(ctx, None, u)
+        table = table_impl(ctx, None, u)
         at = f"reducing by {u.describe(ctx)}"
         values = list(table.values())
         rep.check("summand-map-injective", len(set(values)) == len(values),
@@ -199,63 +183,48 @@ def _compatible_pairs(ctx: Context) -> list[tuple[CObject, CObject, CObject]]:
     return out
 
 
-def _suite_composition(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_composition(ctx: Context, rep: VerificationReport,
                        table_impl) -> None:
     """Reducing in two steps reaches the same wide subcategory as one step."""
-
-    def probe(triple):
-        u, v, uv = triple
-        w1 = wide_of(ctx, None, u)
+    for u, v, uv in _compatible_pairs(ctx):
         ev = _image(table_impl(ctx, None, u), v)
-        return u, v, wide_of(ctx, w1, ev), wide_of(ctx, None, uv)
-
-    for u, v, lhs, rhs in _map(probe, _compatible_pairs(ctx), jobs):
+        lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
+        rhs = wide_of(ctx, None, uv)
         rep.check("two-step-target-matches",
                   lhs.members == rhs.members,
                   f"U={u.describe(ctx)}, V={v.describe(ctx)}: two-step target "
                   f"{_members(ctx, lhs)} vs one-step {_members(ctx, rhs)}")
 
 
-def _suite_associativity(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_associativity(ctx: Context, rep: VerificationReport,
                          table_impl) -> None:
     """Reducing by u then by the image of v equals reducing by u + v."""
     objs = strigid_objects(ctx, full_subcategory(ctx))
-
-    def probe(triple):
-        u, v, uv = triple
+    for u, v, uv in _compatible_pairs(ctx):
         w1 = wide_of(ctx, None, u)
         t1 = table_impl(ctx, None, u)
-        ev = _image(t1, v)
-        t2 = table_impl(ctx, w1, ev)
+        t2 = table_impl(ctx, w1, _image(t1, v))
         tuv = table_impl(ctx, None, uv)
-        results = []
+        at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
         for x in objs:
             if not set(x.keys()) <= set(tuv):
                 continue
             try:
                 lhs = _image(t2, _image(t1, x))
+            except BudgetExceeded:
+                raise
             except (KeyError, WidecatError) as exc:
-                if isinstance(exc, BudgetExceeded):
-                    raise
-                results.append((x, None, str(exc)))
-                continue
-            results.append((x, lhs, _image(tuv, x)))
-        return u, v, results
-
-    for u, v, results in _map(probe, _compatible_pairs(ctx), jobs):
-        at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
-        for x, lhs, rhs in results:
-            if lhs is None:
                 rep.check("stepwise-image-defined", False,
                           f"{at}, X={x.describe(ctx)}: two-step image "
-                          f"undefined ({rhs})")
+                          f"undefined ({exc})")
                 continue
+            rhs = _image(tuv, x)
             rep.check("stepwise-image-matches", lhs == rhs,
                       f"{at}, X={x.describe(ctx)}: two-step image "
                       f"{lhs.describe(ctx)} vs one-step {rhs.describe(ctx)}")
 
 
-def _suite_category_axioms(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_category_axioms(ctx: Context, rep: VerificationReport,
                            table_impl) -> None:
     cat = WideCategory(ctx)
     ms = cat.all_morphisms()
@@ -268,23 +237,16 @@ def _suite_category_axioms(ctx: Context, rep: VerificationReport, jobs: int,
                   cat.compose(identity_of(m.target), m) == m,
                   f"{at} composed into the target identity changed")
 
-    def probe(f):
-        bad = []
-        count = 0
+    for f in ms:
         for g in cat.morphisms_from(f.target):
             gf = cat.compose(g, f)
             for h in cat.morphisms_from(g.target):
-                count += 1
-                if cat.compose(h, gf) != cat.compose(cat.compose(h, g), f):
-                    bad.append((g, h))
-        return f, count, bad
-
-    for f, count, bad in _map(probe, ms, jobs):
-        rep.checks += count - len(bad)
-        for g, h in bad:
-            rep.check("composition-associative", False,
-                      f"({h.describe(ctx)}) . ({g.describe(ctx)}) . "
-                      f"({f.describe(ctx)}) depends on bracketing")
+                if cat.compose(h, gf) == cat.compose(cat.compose(h, g), f):
+                    rep.checks += 1  # passing check, no counterexample text
+                    continue
+                rep.check("composition-associative", False,
+                          f"({h.describe(ctx)}) . ({g.describe(ctx)}) . "
+                          f"({f.describe(ctx)}) depends on bracketing")
     for w1 in cat.objects:
         for w2 in cat.objects:
             hom = cat.hom_set(w1, w2)
@@ -298,7 +260,7 @@ def _suite_category_axioms(ctx: Context, rep: VerificationReport, jobs: int,
                           f"wide subcategory {_members(ctx, w2)}")
 
 
-def _suite_irreducible(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_irreducible(ctx: Context, rep: VerificationReport,
                        table_impl) -> None:
     """Morphism counts over rank-one drops, and injectivity of the wide image."""
     cat = WideCategory(ctx)
@@ -332,7 +294,7 @@ def _suite_irreducible(ctx: Context, rep: VerificationReport, jobs: int,
                 seen[key] = i
 
 
-def _suite_dirrt(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_dirrt(ctx: Context, rep: VerificationReport,
                  table_impl) -> None:
     """Maximal rigid objects biject onto wide subcategories via the split part."""
     full = full_subcategory(ctx)
@@ -360,7 +322,7 @@ def _suite_dirrt(ctx: Context, rep: VerificationReport, jobs: int,
               f"{len(wides)} wide subcategories")
 
 
-def _suite_sequences(ctx: Context, rep: VerificationReport, jobs: int,
+def _suite_sequences(ctx: Context, rep: VerificationReport,
                      table_impl) -> None:
     """Sequence counts, the factorization count, and both round trips."""
     cat = WideCategory(ctx)
@@ -408,23 +370,23 @@ _SUITES = {
 }
 
 
-def run_suite(ctx: Context, name: str, algebra: str = "", jobs: int = 1,
+def run_suite(ctx: Context, name: str, algebra: str = "",
               table_impl=None) -> VerificationReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     rep = VerificationReport(suite=name, algebra=algebra or repr(ctx.alg))
     start = time.perf_counter()
-    _SUITES[name](ctx, rep, jobs, table_impl or e_table)
+    _SUITES[name](ctx, rep, table_impl or e_table)
     rep.seconds = time.perf_counter() - start
     return rep
 
 
-def run_verify(ctx: Context, suites=None, algebra: str = "", jobs: int = 1,
+def run_verify(ctx: Context, suites=None, algebra: str = "",
                table_impl=None) -> list[VerificationReport]:
     """Run the selected suites (all of them by default), in a fixed order."""
     chosen = list(suites) if suites else list(SUITE_NAMES)
     for s in chosen:
         if s not in _SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {SUITE_NAMES}")
-    return [run_suite(ctx, s, algebra=algebra, jobs=jobs,
-                      table_impl=table_impl) for s in chosen]
+    return [run_suite(ctx, s, algebra=algebra, table_impl=table_impl)
+            for s in chosen]

@@ -4,7 +4,8 @@ import pytest
 from widecat.errors import NotCompatible, NotInImage, NotSupportTauRigid
 from widecat.reduction import e_map, e_map_key, e_table, f_map, wide_of
 from widecat.taurigid import (CObject, ZERO_COBJECT, candidate_keys,
-                              full_subcategory, strigid_objects)
+                              ext_projective_ids, full_subcategory,
+                              is_support_tau_rigid, strigid_objects)
 
 
 def members(w):
@@ -78,6 +79,38 @@ def test_f_inverts_e_on_composites(tri_ctx, tri_ids):
     y = e_map(tri_ctx, None, u, x)
     assert y.delta == 2
     assert f_map(tri_ctx, None, u, y) == x
+
+
+def test_e_map_agrees_with_e_map_key_summand_by_summand(tri_ctx):
+    """e_map reads the table; E applied key by key is the oracle, F the inverse."""
+    full = full_subcategory(tri_ctx)
+    objs = strigid_objects(tri_ctx, full)
+    pairs = 0
+    for u in objs:
+        for x in objs:
+            try:
+                ux = u.union(x)
+            except NotSupportTauRigid:
+                continue
+            if not is_support_tau_rigid(tri_ctx, full, ux):
+                continue
+            y = e_map(tri_ctx, None, u, x)
+            assert y == CObject.from_keys(
+                [e_map_key(tri_ctx, None, u, k) for k in x.keys()])
+            assert f_map(tri_ctx, None, u, y) == x
+            pairs += 1
+    # every support tau-rigid T splits into (u, x) in 2^|T| ways
+    assert pairs == sum(2 ** t.delta for t in objs)
+
+
+def test_ext_projective_ids_hands_out_a_fresh_list(tri_ctx, tri_ids):
+    full = full_subcategory(tri_ctx)
+    tri_ctx.memo.pop(("extproj", full.key), None)
+    want = sorted(tri_ids[k] for k in ("P1", "P2", "P3"))
+    for _ in range(2):  # the computing call, then the memo hit
+        got = ext_projective_ids(tri_ctx, full)
+        assert got == want
+        got.clear()
 
 
 def test_f_zero_is_identity(tri_ctx, tri_ids):

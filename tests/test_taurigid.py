@@ -3,10 +3,10 @@ import pytest
 
 from widecat.errors import NotSupportTauRigid, WidecatError
 from widecat.modules import decompose, hom_basis, is_isomorphic
-from widecat.taurigid import (CObject, ZERO_COBJECT, bongartz_complement,
-                              candidate_keys, cover_in, ext_projective_ids,
-                              ext_projectives_of_class, full_subcategory,
-                              in_gen, is_support_tau_rigid, keys_compatible,
+from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
+                              bongartz_complement, candidate_keys, cover_in,
+                              ext_projective_ids, full_subcategory, in_gen,
+                              is_support_tau_rigid, keys_compatible,
                               minimal_right_approximation, perp_tau_members,
                               split_projective_part, stilting_objects,
                               strigid_objects, torsion_free_quotient,
@@ -121,7 +121,7 @@ def test_ext_projectives(tri_ctx, tri_ids, a2_ctx, a2_ids):
     # the class generated by the projective-injective of the one-arrow algebra
     gen = a2_ctx.gen_members(frozenset([a2_ids["P1"]]))
     assert gen == frozenset({a2_ids["P1"], a2_ids["I1"]})
-    assert set(ext_projectives_of_class(a2_ctx, gen)) == gen
+    assert set(ext_projective_ids(a2_ctx, WideSubcategory(gen))) == gen
 
 
 def test_minimal_right_approximation(tri_ctx, tri_ids):

@@ -62,13 +62,6 @@ def test_homological_count_preproj(pre_ctx):
     assert run_suite(pre_ctx, "homological-lemmas").checks == 36
 
 
-def test_jobs_run_the_same_checks(a2_ctx):
-    r1 = run_suite(a2_ctx, "homological-lemmas", jobs=3)
-    # 3 indecomposables: 9 ordered pairs x 2 readings, +1 tau and +1 inverse
-    # round trip
-    assert r1.ok and r1.checks == 2 * 9 + 1 + 1
-
-
 def test_unknown_suite_rejected(a2_ctx):
     with pytest.raises(ValueError):
         run_suite(a2_ctx, "nope")
