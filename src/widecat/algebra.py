@@ -8,22 +8,21 @@ it into a concrete finite-dimensional algebra with
 * a reduction map expressing any path in that basis,
 * structure constants for products of basis paths.
 
-Relation handling is degreewise row reduction: the two-sided ideal generated
-by the relations is spanned by prefix*relation*suffix products, and every
-product whose homogeneous components fit under the working length bound is
-echelonized against a fixed monomial order (leading term = longest path,
-ties broken lexicographically).  This is exact whenever the ideal is graded
-by path length (monomial or length-homogeneous relations, as in every
-shipped corpus algebra).  For mixed-length relations a reduction requiring
-intermediate terms beyond the bound could in principle be missed; the
-finite-dimensionality certificate below is unaffected (it only uses that
-the generated rows really lie in the ideal), so the failure mode would be
-an overcounted basis, never a silently wrong finite-dimensionality claim.
+Relations must be length-homogeneous: every term of a relation has the same
+length.  The ideal I they generate is then graded by path length,
+I = sum of its pieces I_d, and I_d is spanned by the relations of length d
+together with arrow*I_(d-1) and I_(d-1)*arrow.  The basis is built degree by
+degree: I_d is echelonized over the free paths of length d against a fixed
+monomial order (leading term = greatest path; paths of one length compare
+lexicographically by arrow labels), and the paths that lead no echelon row
+survive as basis paths.  The echelon rows also give each path of length d its
+expansion in the surviving paths of that length.
 
-Finite-dimensionality certificate: if every path one longer than the longest
-surviving basis path reduces into shorter ones, then by induction (multiply
-a reducible prefix on the right) so does every longer path, and the basis is
-complete for all degrees.
+Finite-dimensionality certificate: the build stops at the first length d
+whose free paths all lie in I_d.  Every longer path then has a prefix of
+length d, so it lies in the ideal too, and the basis is complete for all
+degrees.  A quiver whose free paths keep surviving is rejected once it has
+more than `_MAX_FREE_PATHS` paths.
 """
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from .fields import FieldSpec, QQ
 # (v, ()).
 Path = tuple[int, tuple[int, ...]]
 
-_MAX_FREE_PATHS = 200_000
+_MAX_FREE_PATHS = 2_000
 
 
 @dataclass(frozen=True)
@@ -49,33 +48,34 @@ class Arrow:
     target: int
 
 
+def _relation_text(rel) -> str:
+    return " + ".join(coeff + " " + "*".join(reversed(labels)) for coeff, labels in rel)
+
+
 @dataclass(frozen=True)
 class QuiverPresentation:
-    """Plain data: vertex labels, arrows, relations, field, length bound.
+    """Plain data: vertex labels, arrows, relations, field.
 
     A relation is a tuple of terms; a term is (coefficient_string, arrows)
     with arrows a tuple of arrow labels in application order (first applied
-    first).  Coefficients are rational strings like '1', '-2', '3/2'.
+    first).  Coefficients are rational strings like '1', '-2', '3/2'.  All
+    terms of a relation are parallel paths of one length, at least 2.
     """
 
     vertices: tuple[str, ...]
     arrows: tuple[tuple[str, str, str], ...] = ()  # (label, source_label, target_label)
     relations: tuple[tuple[tuple[str, tuple[str, ...]], ...], ...] = ()
     field: FieldSpec = QQ
-    path_length_bound: int = 12
 
     def canonical_text(self) -> str:
         """Stable serialization used for cache keys."""
-        chunks = [f"field {self.field.name()}", f"bound {self.path_length_bound}"]
+        chunks = [f"field {self.field.name()}"]
         for v in self.vertices:
             chunks.append(f"vertex {v}")
         for lab, s, t in self.arrows:
             chunks.append(f"arrow {lab} : {s} -> {t}")
         for rel in self.relations:
-            terms = []
-            for coeff, labels in rel:
-                terms.append(coeff + " " + "*".join(reversed(labels)))
-            chunks.append("relation " + " + ".join(terms))
+            chunks.append("relation " + _relation_text(rel))
         return "\n".join(chunks) + "\n"
 
 
@@ -140,6 +140,12 @@ class Algebra:
                 terms.append((coeff, tuple(idxs)))
         if not terms:
             raise InconsistentRelation("relation is identically zero")
+        lengths = sorted({len(idxs) for _, idxs in terms})
+        if len(lengths) > 1:
+            raise NonAdmissible(
+                f"relation {_relation_text(rel)} has terms of lengths "
+                f"{', '.join(map(str, lengths))}; relations must be "
+                "length-homogeneous")
         return terms
 
     # ----- path combinatorics -------------------------------------------
@@ -156,83 +162,70 @@ class Algebra:
         return (len(arrs), tuple(self.arrows[a].label for a in arrs), src)
 
     def _build_basis(self) -> None:
-        bound = self.presentation.path_length_bound
-        by_length: list[list[Path]] = [[(v, ()) for v in range(self.n)]]
-        total = self.n
-        for length in range(1, bound + 1):
-            nxt: list[Path] = []
-            for p in by_length[-1]:
-                t = self.path_target(p)
+        f = self.field
+        rels_by_length: dict[int, list] = {}
+        for terms in self._relations:
+            rels_by_length.setdefault(len(terms[0][1]), []).append(terms)
+        self.basis: list[Path] = []
+        self.path_pos: dict[Path, int] = {}
+        self._normal_form: dict[Path, dict[int, object]] = {}
+        layer: list[Path] = [(v, ()) for v in range(self.n)]
+        total = len(layer)
+        ideal: list[dict[Path, object]] = []  # echelon rows of I_(length-1)
+        length = 0
+        while layer:
+            rows = []
+            for terms in rels_by_length.get(length, ()):
+                row: dict[Path, object] = {}
+                for coeff, rel_arrs in terms:
+                    p = (self.arrows[rel_arrs[0]].source, rel_arrs)
+                    row[p] = f.add(row.get(p, f.zero), coeff)
+                rows.append(row)
+            for row in ideal:
                 for ai, a in enumerate(self.arrows):
-                    if a.source == t:
-                        nxt.append((p[0], p[1] + (ai,)))
-            total += len(nxt)
+                    rows.append({(p[0], p[1] + (ai,)): c for p, c in row.items()
+                                 if self.path_target(p) == a.source})
+                    rows.append({(a.source, (ai,) + p[1]): c for p, c in row.items()
+                                 if p[0] == a.target})
+            # Monomial order: descending, so column 0 is the greatest path and
+            # rref pivots are leading terms.
+            cols = sorted(layer, key=self._path_sort_key, reverse=True)
+            col_of = {p: j for j, p in enumerate(cols)}
+            dense = []
+            for row in rows:
+                if row:
+                    vec = [f.zero] * len(cols)
+                    for p, c in row.items():
+                        vec[col_of[p]] = c
+                    dense.append(vec)
+            reduced = linalg.row_space_reduce(f, dense)
+            leads = {next(j for j, x in enumerate(r) if x != 0): r for r in reduced}
+            survivors = [p for j, p in enumerate(cols) if j not in leads]
+            if not survivors:
+                break
+            for p in reversed(survivors):
+                self.path_pos[p] = len(self.basis)
+                self._normal_form[p] = {len(self.basis): f.one}
+                self.basis.append(p)
+            for j, r in leads.items():
+                self._normal_form[cols[j]] = {
+                    self.path_pos[cols[k]]: f.neg(x)
+                    for k, x in enumerate(r) if x != 0 and k != j}
+            ideal = [{cols[k]: x for k, x in enumerate(r) if x != 0} for r in reduced]
+            layer = [(p[0], p[1] + (ai,)) for p in layer
+                     for ai, a in enumerate(self.arrows) if a.source == self.path_target(p)]
+            length += 1
+            total += len(layer)
             if total > _MAX_FREE_PATHS:
                 raise NotFiniteDimensional(
-                    f"more than {_MAX_FREE_PATHS} paths below length {length}; "
+                    f"more than {_MAX_FREE_PATHS} paths up to length {length}; "
                     "missing or insufficient relations?")
-            by_length.append(nxt)
-            if not nxt:
-                break
-        all_paths = [p for layer in by_length for p in layer]
-        # Monomial order: descending, so column 0 is the greatest path and
-        # rref pivots are leading terms.
-        all_paths.sort(key=self._path_sort_key, reverse=True)
-        col_of = {p: i for i, p in enumerate(all_paths)}
-
-        rows = []
-        zero = self.field.zero
-        for terms in self._relations:
-            min_len = min(len(t[1]) for t in terms)
-            for pre in all_paths:
-                pre_len = len(pre[1])
-                if pre_len + min_len > bound:
-                    continue
-                for coeff0, rel_arrs in terms:
-                    src_needed = self.arrows[rel_arrs[0]].source
-                    break
-                if self.path_target(pre) != src_needed:
-                    continue
-                rel_tgt = self.arrows[terms[0][1][-1]].target
-                for post in all_paths:
-                    if self.path_source(post) != rel_tgt:
-                        continue
-                    tot_max = pre_len + len(post[1]) + max(len(t[1]) for t in terms)
-                    if tot_max > bound:
-                        continue
-                    vec = [zero] * len(all_paths)
-                    for coeff, rel_arrs in terms:
-                        prod: Path = (pre[0], pre[1] + rel_arrs + post[1])
-                        vec[col_of[prod]] = self.field.add(vec[col_of[prod]], coeff)
-                    rows.append(vec)
-        reduced = linalg.row_space_reduce(self.field, rows) if rows else []
-        lead_cols = set()
-        for r in reduced:
-            for j, x in enumerate(r):
-                if x != 0:
-                    lead_cols.add(j)
-                    break
-
-        survivors = [p for i, p in enumerate(all_paths) if i not in lead_cols]
-        max_len = max((len(p[1]) for p in survivors), default=0)
-        if max_len >= bound:
-            raise NotFiniteDimensional(
-                f"paths of length {bound} survive reduction at the length "
-                f"bound {bound}; the algebra is infinite-dimensional or the "
-                "bound is too small")
-
-        self._all_paths = all_paths
-        self._col_of = col_of
-        self._ideal_rows = reduced
-        self.basis: list[Path] = sorted(survivors, key=self._path_sort_key)
-        self.path_pos = {p: i for i, p in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self.max_path_length = max_len
+        self.max_path_length = length - 1
         self._by_src_tgt: dict[tuple[int, int], list[int]] = {}
         for i, p in enumerate(self.basis):
             key = (self.path_source(p), self.path_target(p))
             self._by_src_tgt.setdefault(key, []).append(i)
-        self._reduce_memo: dict[Path, dict[int, object]] = {}
 
     # ----- reduction and multiplication ----------------------------------
 
@@ -244,50 +237,11 @@ class Algebra:
         return self.path_pos[(v, ())]
 
     def reduce_path(self, p: Path) -> dict[int, object]:
-        """Expand a path (not necessarily short) in the basis.
+        """Expand a path in the basis as a sparse {basis_index: coefficient} dict.
 
-        Returns a sparse {basis_index: coefficient} dict.
+        Paths longer than `max_path_length` lie in the ideal and give {}.
         """
-        if p in self._reduce_memo:
-            return self._reduce_memo[p]
-        src, arrs = p
-        if len(arrs) <= self.presentation.path_length_bound:
-            out = self._reduce_enumerated(p)
-        else:
-            # Split off a reducible prefix; every path strictly longer than
-            # the longest basis path reduces into shorter ones.
-            cut = self.max_path_length + 1
-            prefix: Path = (src, arrs[:cut])
-            rest = arrs[cut:]
-            out: dict[int, object] = {}
-            for bi, c in self._reduce_enumerated(prefix).items():
-                bp = self.basis[bi]
-                sub = self.reduce_path((bp[0], bp[1] + rest))
-                for bj, c2 in sub.items():
-                    acc = self.field.add(out.get(bj, self.field.zero), self.field.mul(c, c2))
-                    if acc == 0:
-                        out.pop(bj, None)
-                    else:
-                        out[bj] = acc
-        self._reduce_memo[p] = out
-        return out
-
-    def _reduce_enumerated(self, p: Path) -> dict[int, object]:
-        col = self._col_of.get(p)
-        if col is None:
-            return {}
-        vec = [self.field.zero] * len(self._all_paths)
-        vec[col] = self.field.one
-        for row in self._ideal_rows:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            if vec[lead] != 0:
-                f = self.field.div(vec[lead], row[lead])
-                vec = [self.field.sub(x, self.field.mul(f, y)) for x, y in zip(vec, row)]
-        out = {}
-        for j, x in enumerate(vec):
-            if x != 0:
-                out[self.path_pos[self._all_paths[j]]] = x
-        return out
+        return self._normal_form.get(p, {})
 
     def mult(self, i: int, j: int) -> dict[int, object]:
         """Product basis[i] * basis[j] = "apply path j, then path i"."""

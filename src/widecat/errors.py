@@ -33,11 +33,12 @@ class InconsistentRelation(InputError):
 
 
 class NonAdmissible(InputError):
-    """A relation touches paths of length < 2 (not inside the arrow radical squared)."""
+    """A relation term has length < 2 (not inside the arrow radical squared),
+    or the terms of one relation have different lengths."""
 
 
 class NotFiniteDimensional(InputError):
-    """Path count is still growing at the configured length bound."""
+    """Free paths keep surviving the relations past the path-count limit."""
 
 
 class CacheCorrupt(InputError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .category import WideCategory, WideCatMorphism, morphism
 from .context import Context
 from .errors import NotExceptional, WidecatError
-from .reduction import e_map, f_map, wide_of
+from .reduction import e_table, f_map, wide_of
 from .taurigid import (CObject, WideSubcategory, candidate_keys,
                        full_subcategory, is_support_tau_rigid, strigid_objects)
 
@@ -100,7 +100,8 @@ def phi_inverse(ctx: Context, w: WideSubcategory | None,
     if len(ordered) <= 1:
         return ordered
     last = ordered[-1]
-    mapped = tuple(e_map(ctx, w, last, v) for v in ordered[:-1])
+    table = e_table(ctx, w, last)
+    mapped = tuple(CObject.from_keys([table[v.keys()[0]]]) for v in ordered[:-1])
     return phi_inverse(ctx, wide_of(ctx, w, last), mapped) + (last,)
 
 

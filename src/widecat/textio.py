@@ -2,12 +2,13 @@
 
 File format, one statement per line, `#` starts a comment:
 
-    field Q            # or: field Fp 101  /  field F101
+    field Q               # or: field Fp 101  /  field F101
     vertex 1
     arrow a : 1 -> 2
-    relation b*a       # terms are *-joined arrow chains, applied right to left
-    relation b*a - 2 c # optional rational coefficients on each term
-    bound 12           # optional path length bound
+    relation b*a          # terms are *-joined arrow chains, applied right to left
+    relation b*a - 2 d*c  # optional rational coefficients on each term
+
+All terms of a relation are paths of the same length.
 
 Parse errors carry file name and line number.  The enumeration cache is a
 JSON snapshot of all indecomposables plus the translate and label tables,
@@ -68,7 +69,6 @@ def parse_algebra_text(text: str, filename: str = "<string>") -> QuiverPresentat
     arrows: list[tuple[str, str, str]] = []
     relations: list[tuple] = []
     field: FieldSpec = QQ
-    bound = 12
     for lineno, raw in enumerate(text.splitlines(), start=1):
         where = f"{filename}:{lineno}"
         line = raw.split("#", 1)[0].strip()
@@ -95,16 +95,12 @@ def parse_algebra_text(text: str, filename: str = "<string>") -> QuiverPresentat
             if not body:
                 raise ParseError(f"{where}: relation wants a path expression")
             relations.append(_parse_relation(body, where))
-        elif head == "bound":
-            if not body.isdigit() or int(body) <= 0:
-                raise ParseError(f"{where}: bound wants a positive integer")
-            bound = int(body)
         else:
             raise ParseError(f"{where}: unknown statement {head!r}")
     if not vertices:
         raise ParseError(f"{filename}: no vertices declared")
     return QuiverPresentation(tuple(vertices), tuple(arrows), tuple(relations),
-                              field, bound)
+                              field)
 
 
 def parse_algebra_file(path: str) -> QuiverPresentation:

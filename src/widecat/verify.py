@@ -168,8 +168,10 @@ def _suite_bijection(ctx: Context, rep: VerificationReport,
                   f"{_members(ctx, w1)}")
 
 
-def _compatible_pairs(ctx: Context) -> list[tuple[CObject, CObject, CObject]]:
+def _compatible_pairs(ctx: Context) -> tuple[tuple[CObject, CObject, CObject], ...]:
     """All ordered pairs (u, v) of disjoint objects with u + v support tau-rigid."""
+    if "pairs" in ctx.memo:
+        return ctx.memo["pairs"]
     objs = strigid_objects(ctx, full_subcategory(ctx))
     out = []
     for u in objs:
@@ -180,7 +182,8 @@ def _compatible_pairs(ctx: Context) -> list[tuple[CObject, CObject, CObject]]:
                 continue
             if is_support_tau_rigid(ctx, None, uv):
                 out.append((u, v, uv))
-    return out
+    ctx.memo["pairs"] = tuple(out)
+    return ctx.memo["pairs"]
 
 
 def _suite_composition(ctx: Context, rep: VerificationReport,

@@ -1,6 +1,6 @@
 """Shared fixtures: the corpus algebras, enumerated once per session.
 
-The three corpus presentations (see ``algebras/``):
+The corpus presentations behind the fixtures (see ``algebras/``):
 
 * ``triangle.alg`` — three vertices 1 -> 2 -> 3 with a shortcut arrow
   1 -> 3 and the composite 2 -> 3 <- 1 killed; nine indecomposables.

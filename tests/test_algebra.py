@@ -19,6 +19,29 @@ def test_corpus_dimensions():
     assert build_algebra(load_presentation("triangle.alg")).dim == 6
     assert build_algebra(load_presentation("a2.alg")).dim == 3
     assert build_algebra(load_presentation("preproj_a2.alg")).dim == 4
+    assert build_algebra(load_presentation("preproj_a3.alg")).dim == 10
+
+
+def _linear_a(n):
+    return QuiverPresentation(
+        vertices=tuple(str(i) for i in range(1, n + 1)),
+        arrows=tuple((f"a{i}", str(i), str(i + 1)) for i in range(1, n)))
+
+
+def _nilpotent_loop(k):
+    return QuiverPresentation(vertices=("1",), arrows=(("l", "1", "1"),),
+                              relations=((("1", ("l",) * k),),))
+
+
+@pytest.mark.parametrize("pres, dim, longest", [
+    (_linear_a(14), 105, 13),      # every path of the A14 quiver survives
+    (_nilpotent_loop(13), 13, 12),  # k[l]/(l^13)
+], ids=["A14", "loop-l^13"])
+def test_long_surviving_paths_build(pres, dim, longest):
+    alg = build_algebra(pres)
+    assert (alg.dim, alg.max_path_length) == (dim, longest)
+    top = alg.dim - 1  # a longest basis path; its square is zero
+    assert alg.mult(top, top) == {}
 
 
 def test_commutative_square_with_coefficient():
@@ -59,6 +82,17 @@ def test_short_relation_terms_rejected():
     bad = QuiverPresentation(vertices=("1", "2"), arrows=(("a", "1", "2"),),
                              relations=((("1", ("a",)),),))
     with pytest.raises(NonAdmissible):
+        build_algebra(bad)
+
+
+def test_mixed_length_relation_rejected():
+    # b*a and e*d*c are parallel paths 1 -> 3 of lengths 2 and 3
+    bad = QuiverPresentation(
+        vertices=("1", "2", "3", "4", "5"),
+        arrows=(("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"),
+                ("d", "4", "5"), ("e", "5", "3")),
+        relations=((("1", ("a", "b")), ("-1", ("c", "d", "e"))),))
+    with pytest.raises(NonAdmissible, match="lengths 2, 3"):
         build_algebra(bad)
 
 

@@ -10,6 +10,7 @@ from widecat.category import (WideCategory, _irreducible_edges, category_dot,
 from widecat.context import build_context
 from widecat.errors import NotComposable, NotSupportTauRigid
 from widecat.taurigid import CObject, ZERO_COBJECT
+from conftest import load_context
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,13 @@ def test_small_algebra_censuses(a2_ctx):
     assert len(ct.objects) == 2
     et = _irreducible_edges(ct)
     assert len(et) == 1 and et[0]["doubled"]
+
+
+def test_preprojective_a3_census():
+    # Pi(A_n) has (n+1)! wide subcategories (Mizuno, arXiv 1304.0667)
+    ctx = load_context("preproj_a3.alg")
+    assert ctx.ind_count() == 12
+    assert len(enumerate_wide_subcategories(ctx)) == 24
 
 
 def test_preprojective_census(pre_ctx, pre_ids):

@@ -80,6 +80,11 @@ def test_parse_errors(bad):
         parse_algebra_text(bad)
 
 
+def test_bound_statement_is_not_part_of_the_format():
+    with pytest.raises(ParseError, match=r"old\.alg:2: unknown statement 'bound'"):
+        parse_algebra_text("vertex 1\nbound 12\n", "old.alg")
+
+
 def test_length_one_relation_rejected():
     p = parse_algebra_text("vertex 1\nvertex 2\narrow a : 1 -> 2\nrelation a")
     with pytest.raises(NonAdmissible):
