@@ -74,6 +74,7 @@ class WideCategory:
         self.objects = [w for w in enumerate_wide_subcategories(ctx)
                         if w.members or not drop_zero_object]
         self.rank = {w.key: wide_rank(ctx, w) for w in self.objects}
+        self._index = {w.key: k for k, w in enumerate(self.objects)}
         self._homs: dict[tuple, list[WideCatMorphism]] = {}
         self._compose_memo: dict[tuple, WideCatMorphism] = {}
         for w in self.objects:
@@ -84,7 +85,7 @@ class WideCategory:
                 self._homs.setdefault((w.key, m.target.key), []).append(m)
 
     def object_index(self, w: WideSubcategory) -> int:
-        return self.objects.index(w)
+        return self._index[w.key]
 
     def hom_set(self, w1: WideSubcategory, w2: WideSubcategory
                 ) -> list[WideCatMorphism]:
@@ -211,11 +212,12 @@ def category_dot(cat: WideCategory) -> str:
     for r in sorted(by_rank, reverse=True):
         row = " ".join(ids[w.key] + ";" for w in by_rank[r])
         lines.append(f"  {{ rank=same; {row} }}")
+    id_by_name: dict[str, str] = {}
     for w in cat.objects:
         lines.append(f'  {ids[w.key]} [label="{names[w.key]}"];')
+        id_by_name.setdefault(names[w.key], ids[w.key])
     for e in _irreducible_edges(cat):
-        src = next(ids[w.key] for w in cat.objects if names[w.key] == e["source"])
-        dst = next(ids[w.key] for w in cat.objects if names[w.key] == e["target"])
+        src, dst = id_by_name[e["source"]], id_by_name[e["target"]]
         style = ', color="black:white:black"' if e["doubled"] else ""
         lines.append(f'  {src} -> {dst} [label="{e["label"]}"{style}];')
     lines.append("}")

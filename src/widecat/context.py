@@ -19,7 +19,7 @@ from .homology import Presentation, ar_translate, ar_translate_inverse, ext1_dim
 from .modules import (IsoClassRegistry, Module, ModuleMorphism, cokernel,
                       decompose, hom_basis, injective_module,
                       projective_module, radical_inclusion, socle_vectors,
-                      zero_module)
+                      submodule)
 
 DEFAULT_BUDGET = 10_000
 
@@ -79,15 +79,7 @@ class Context:
         return idx
 
     def _socle_quotient(self, m: Module) -> Module:
-        soc = socle_vectors(m)
-        dims = [len(soc[v]) for v in range(self.alg.n)]
-        if sum(dims) == 0:
-            return zero_module(self.alg)
-        incls = {v: linalg.transpose(soc[v]) if soc[v] else
-                 [[] for _ in range(m.dims[v])] for v in range(self.alg.n)}
-        sub = Module(self.alg, dims, {})  # socle: all arrows act by zero
-        inc = ModuleMorphism(sub, m, incls)
-        return cokernel(inc)[0]
+        return cokernel(submodule(m, socle_vectors(m), "socle")[1])[0]
 
     def _enumerate(self) -> None:
         from .arquiver import almost_split_sequence

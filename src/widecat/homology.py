@@ -128,12 +128,9 @@ class Presentation:
 
 
 def minimal_presentation(m: Module) -> Presentation:
-    alg = m.alg
-    p0, verts0, cover = projective_cover(m)
-    _, layout0 = projective_sum(alg, verts0)
+    p0, verts0, cover, layout0 = projective_cover(m)
     omega, om_incl = kernel(cover)
-    p1, verts1, cover1 = projective_cover(omega)
-    _, layout1 = projective_sum(alg, verts1)
+    p1, verts1, cover1, layout1 = projective_cover(omega)
     d = om_incl.compose(cover1)
     return Presentation(m, TwoTermComplex(p1, p0, d), verts1, verts0,
                         layout1, layout0, cover, omega, om_incl)
@@ -236,12 +233,9 @@ class Copresentation:
 
 
 def minimal_copresentation(m: Module) -> Copresentation:
-    alg = m.alg
-    i0, verts0, emb = injective_envelope(m)
-    _, layout0 = injective_sum(alg, verts0)
+    i0, verts0, emb, layout0 = injective_envelope(m)
     c, proj = cokernel(emb)
-    i1, verts1, emb1 = injective_envelope(c)
-    _, layout1 = injective_sum(alg, verts1)
+    i1, verts1, emb1, layout1 = injective_envelope(c)
     d = emb1.compose(proj)
     return Copresentation(m, i0, i1, d, verts0, verts1, layout0, layout1)
 
@@ -334,14 +328,8 @@ def ext1_space(m: Module, n: Module, pres: Presentation | None = None) -> ExtSpa
         if any(x != 0 for x in vec):
             restricted.append(vec)
     sub = linalg.row_space_reduce(n.alg.field, restricted)
-    reps = []
-    span = [list(r) for r in sub]
-    for f in full:
-        vec = f.flatten()
-        if not linalg.in_row_span(n.alg.field, span, vec):
-            reps.append(f)
-            span = linalg.row_space_reduce(n.alg.field, span + [vec])
-    return ExtSpace(m, n, pres, reps, sub)
+    keep = linalg.independent_columns(n.alg.field, sub, [f.flatten() for f in full])
+    return ExtSpace(m, n, pres, [full[k] for k in keep], sub)
 
 
 def ext1_dim(m: Module, n: Module, pres: Presentation | None = None) -> int:
@@ -408,14 +396,9 @@ def chain_maps_mod_homotopy(c: TwoTermComplex, d: TwoTermComplex
         pair_vec = s.compose(c.d).flatten() + d.d.compose(s).flatten()
         if any(x != 0 for x in pair_vec):
             homotopy_vecs.append(pair_vec)
-    span = linalg.row_space_reduce(fd, homotopy_vecs)
-    reps = []
-    for f1, f0 in chain_pairs:
-        vec = f1.flatten() + f0.flatten()
-        if not linalg.in_row_span(fd, span, vec):
-            reps.append((f1, f0))
-            span = linalg.row_space_reduce(fd, span + [vec])
-    return reps
+    keep = linalg.independent_columns(
+        fd, homotopy_vecs, [f1.flatten() + f0.flatten() for f1, f0 in chain_pairs])
+    return [chain_pairs[k] for k in keep]
 
 
 def shifted_hom_dim(c: TwoTermComplex, d: TwoTermComplex) -> int:

@@ -5,6 +5,10 @@ nonzero from the left, first candidate row from the top", so every result
 (echelon forms, kernels, solutions) is deterministic for a given input.
 The scale here is tiny (corpus matrices stay under ~50 rows) so no effort
 is spent on asymptotics; correctness and reproducibility only.
+
+`independent_columns` is the one "keep the vectors independent modulo a
+span" step: radicals, traces, approximations, Ext and homotopy quotients
+and complements all pick their bases through it.
 """
 from __future__ import annotations
 
@@ -238,18 +242,25 @@ def inverse(field: FieldSpec, m: list[list]) -> list[list]:
     return [row[rows:] for row in red]
 
 
+def independent_columns(field: FieldSpec, base: list[list], vectors: list[list]) -> list[int]:
+    """Indices of the vectors that are independent modulo span(base), greedily.
+
+    Vector k is kept when it lies outside the span of `base` and of the
+    vectors kept before it.  These are the pivot columns, past `base`, of one
+    rref of the matrix whose columns are `base` followed by `vectors`.
+    """
+    cols = list(base) + list(vectors)
+    if not cols or not cols[0]:
+        return []
+    _, pivots = rref(field, transpose(cols))
+    return [c - len(base) for c in pivots if c >= len(base)]
+
+
 def complement_basis(field: FieldSpec, inside: list[list], dim: int) -> list[list]:
     """Coordinate vectors completing span(inside) to the full space k^dim.
 
-    Deterministic: standard basis vectors are tried in index order and kept
-    when independent from the running span.
+    Deterministic: standard basis vectors are kept in index order when
+    independent from span(inside) and the ones kept before them.
     """
-    span = row_space_reduce(field, [v[:] for v in inside])
-    chosen = []
-    for i in range(dim):
-        e = [field.zero] * dim
-        e[i] = field.one
-        if not in_row_span(field, span, e):
-            chosen.append(e)
-            span = row_space_reduce(field, span + [e])
-    return chosen
+    units = identity(field, dim)
+    return [units[i] for i in independent_columns(field, inside, units)]

@@ -5,6 +5,9 @@ arrow a matrix (target_dim x source_dim).  Everything downstream — Hom
 spaces, kernels, images, cokernels, traces, decompositions — is plain exact
 linear algebra from `linalg`.
 
+Every subrepresentation (kernel, image, radical, trace, socle) is built by
+`submodule` from a per-vertex basis of its subspaces.
+
 Modules are treated as immutable after construction.  Each instance carries
 a serial number so caches can key on identity without hashing matrices.
 """
@@ -404,32 +407,40 @@ def hom_dim(m: Module, n: Module) -> int:
 
 # -- kernels, images, cokernels --------------------------------------------
 
+def submodule(m: Module, vecs: dict[int, list[list]], what: str
+              ) -> tuple[Module, ModuleMorphism]:
+    """(S, inclusion S -> m) for per-vertex bases vecs[v] of subspaces of m_v.
+
+    The subspaces must be closed under the arrows; the arrow matrices of S
+    are solved through the inclusion, and `what` names S in the error raised
+    when they are not.
+    """
+    alg = m.alg
+    dims = [len(vecs[v]) for v in range(alg.n)]
+    incls = {v: linalg.transpose(vecs[v]) if vecs[v] else [[] for _ in range(m.dims[v])]
+             for v in range(alg.n)}
+    mats = {}
+    for ai, a in enumerate(alg.arrows):
+        mats[ai] = _solve_through(alg.field, incls[a.target], m.mats[ai], incls[a.source],
+                                  m.dims[a.target], dims[a.target],
+                                  m.dims[a.source], dims[a.source], what)
+    s = Module(alg, dims, mats)
+    return s, ModuleMorphism(s, m, incls)
+
+
 def kernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     """(K, inclusion K -> source)."""
     alg = f.source.alg
     fd = alg.field
-    incls = {}
-    dims = []
+    vecs = {}
     for v in range(alg.n):
         if f.source.dims[v] == 0:
-            basis = []
+            vecs[v] = []
         elif f.target.dims[v] == 0:
-            basis = [row[:] for row in linalg.identity(fd, f.source.dims[v])]
+            vecs[v] = [row[:] for row in linalg.identity(fd, f.source.dims[v])]
         else:
-            basis = linalg.nullspace(fd, f.mats[v])
-        dims.append(len(basis))
-        incls[v] = linalg.transpose(basis) if basis else \
-            [[] for _ in range(f.source.dims[v])]
-    mats = {}
-    for ai, a in enumerate(alg.arrows):
-        mats[ai] = _solve_through(fd, incls[a.target], f.source.mats[ai],
-                                  incls[a.source],
-                                  f.source.dims[a.target], dims[a.target],
-                                  f.source.dims[a.source], dims[a.source],
-                                  "kernel")
-    k = Module(alg, dims, mats)
-    inc = ModuleMorphism(k, f.source, incls)
-    return k, inc
+            vecs[v] = linalg.nullspace(fd, f.mats[v])
+    return submodule(f.source, vecs, "kernel")
 
 
 def _solve_through(fd, incl_t, big_mat, incl_s, amb_t: int, sub_t: int,
@@ -456,31 +467,19 @@ def image(f: ModuleMorphism) -> tuple[Module, ModuleMorphism, ModuleMorphism]:
     """(I, inclusion I -> target, projection source -> I)."""
     alg = f.source.alg
     fd = alg.field
-    incls = {}
-    dims = []
-    for v in range(alg.n):
-        cols = linalg.column_space_basis(fd, f.mats[v]) if f.target.dims[v] else []
-        dims.append(len(cols))
-        incls[v] = linalg.transpose(cols) if cols else \
-            [[] for _ in range(f.target.dims[v])]
-    mats = {}
+    cols = {v: linalg.column_space_basis(fd, f.mats[v]) if f.target.dims[v] else []
+            for v in range(alg.n)}
+    i, inc = submodule(f.target, cols, "image")
     projs = {}
-    for ai, a in enumerate(alg.arrows):
-        mats[ai] = _solve_through(fd, incls[a.target], f.target.mats[ai],
-                                  incls[a.source],
-                                  f.target.dims[a.target], dims[a.target],
-                                  f.target.dims[a.source], dims[a.source],
-                                  "image")
     for v in range(alg.n):
-        if dims[v] == 0 or f.source.dims[v] == 0:
-            projs[v] = linalg.zeros(fd, dims[v], f.source.dims[v])
+        if i.dims[v] == 0 or f.source.dims[v] == 0:
+            projs[v] = linalg.zeros(fd, i.dims[v], f.source.dims[v])
             continue
-        sol = linalg.solve_matrix(fd, incls[v], f.mats[v])
+        sol = linalg.solve_matrix(fd, inc.mats[v], f.mats[v])
         if sol is None:
             raise RuntimeError("image projection failed (bug)")
         projs[v] = sol
-    i = Module(alg, dims, mats)
-    return i, ModuleMorphism(i, f.target, incls), ModuleMorphism(f.source, i, projs)
+    return i, inc, ModuleMorphism(f.source, i, projs)
 
 
 def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
@@ -519,30 +518,15 @@ def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
 def radical_inclusion(m: Module) -> tuple[Module, ModuleMorphism]:
     """rad M = sum of images of all arrow actions, as a submodule."""
     alg = m.alg
-    fd = alg.field
-    incls = {}
-    dims = []
+    vecs = {}
     for v in range(alg.n):
         cols = []
         for ai, a in enumerate(alg.arrows):
             if a.target == v:
                 for j in range(m.dims[a.source]):
                     cols.append([m.mats[ai][i][j] for i in range(m.dims[v])])
-        basis = []
-        span: list[list] = []
-        for cvec in cols:
-            if not linalg.in_row_span(fd, span, cvec):
-                basis.append(cvec)
-                span = linalg.row_space_reduce(fd, span + [cvec])
-        dims.append(len(basis))
-        incls[v] = linalg.transpose(basis) if basis else [[] for _ in range(m.dims[v])]
-    mats = {}
-    for ai, a in enumerate(alg.arrows):
-        mats[ai] = _solve_through(fd, incls[a.target], m.mats[ai], incls[a.source],
-                                  m.dims[a.target], dims[a.target],
-                                  m.dims[a.source], dims[a.source], "radical")
-    r = Module(alg, dims, mats)
-    return r, ModuleMorphism(r, m, incls)
+        vecs[v] = [cols[k] for k in linalg.independent_columns(alg.field, [], cols)]
+    return submodule(m, vecs, "radical")
 
 
 def top_lifts(m: Module) -> list[tuple[int, list]]:
@@ -578,8 +562,9 @@ def socle_vectors(m: Module) -> dict[int, list[list]]:
 
 # -- projective covers and injective envelopes -------------------------------
 
-def projective_cover(m: Module) -> tuple[Module, list[int], ModuleMorphism]:
-    """(P, cover_vertices, epimorphism P -> M), minimal by construction."""
+def projective_cover(m: Module) -> tuple[Module, list[int], ModuleMorphism, list[dict]]:
+    """(P, cover_vertices, epimorphism P -> M, layout of P), minimal by
+    construction; the layout is the one `projective_sum` gives P."""
     alg = m.alg
     fd = alg.field
     lifts = top_lifts(m)
@@ -594,11 +579,12 @@ def projective_cover(m: Module) -> tuple[Module, list[int], ModuleMorphism]:
                 for i in range(m.dims[w]):
                     mats[w][i][off + c] = col[i]
     cover = ModuleMorphism(p, m, mats)
-    return p, vertices, cover
+    return p, vertices, cover, layout
 
 
-def injective_envelope(m: Module) -> tuple[Module, list[int], ModuleMorphism]:
-    """(I, envelope_vertices, monomorphism M -> I), minimal by construction."""
+def injective_envelope(m: Module) -> tuple[Module, list[int], ModuleMorphism, list[dict]]:
+    """(I, envelope_vertices, monomorphism M -> I, layout of I), minimal by
+    construction; the layout is the one `injective_sum` gives I."""
     alg = m.alg
     fd = alg.field
     soc = socle_vectors(m)
@@ -630,7 +616,7 @@ def injective_envelope(m: Module) -> tuple[Module, list[int], ModuleMorphism]:
                     row[j] = acc
                 mats[w][off + r] = row
     emb = ModuleMorphism(m, i_mod, mats)
-    return i_mod, vertices, emb
+    return i_mod, vertices, emb, layout
 
 
 # -- minimal polynomial and eigenvalues --------------------------------------

@@ -166,9 +166,16 @@ def e_map_key(ctx: Context, w: WideSubcategory | None, obj: CObject, key: Key) -
     """The reduction bijection on a single summand key."""
     if w is None:
         w = full_subcategory(ctx)
-    stage1 = _e_module_stage(ctx, w, obj.mods, key)
+    if obj.mods and obj.shifts:
+        # E along U + Q[1] is E along E_U(Q[1]) after E along U: read both
+        # E_U values from U's table instead of recomputing them per key
+        u_table = e_table(ctx, w, CObject.of(obj.mods))
+        stage1 = u_table[key]
+        q_ids = tuple(u_table[("s", p)][1] for p in obj.shifts)
+    else:
+        stage1 = _e_module_stage(ctx, w, obj.mods, key)
+        q_ids = obj.shifts
     w1 = wide_of(ctx, w, CObject.of(obj.mods))
-    q_ids = tuple(_e_module_stage(ctx, w, obj.mods, ("s", p))[1] for p in obj.shifts)
     out = _e_shift_stage(ctx, w1, q_ids, stage1)
     w_final = wide_of(ctx, w, obj)
     if out[0] == "m":

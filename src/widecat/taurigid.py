@@ -23,7 +23,7 @@ from .arquiver import radical_hom_basis
 from .context import Context
 from .errors import NotSupportTauRigid, WidecatError
 from .modules import (Module, ModuleMorphism, cokernel, hom_basis,
-                      hstack_morphisms, zero_module, zero_morphism)
+                      hstack_morphisms, submodule, zero_module, zero_morphism)
 
 # A summand key: ('m', class_id) for a module summand, ('s', class_id) for a
 # shifted Ext-projective summand.
@@ -115,33 +115,17 @@ def full_subcategory(ctx: Context) -> WideSubcategory:
 def trace_submodule(ctx: Context, u_ids, x: Module) -> tuple[Module, ModuleMorphism]:
     """The trace of the classes u_ids in x: sum of images of all maps."""
     alg = ctx.alg
-    fd = alg.field
     maps: list[ModuleMorphism] = []
     for u in sorted(set(u_ids)):
         maps.extend(hom_basis(ctx.rep(u), x))
-    incls = {}
-    dims = []
+    vecs = {}
     for v in range(alg.n):
         cols = []
         for f in maps:
             for c in range(f.source.dims[v]):
                 cols.append([f.mats[v][r][c] for r in range(x.dims[v])])
-        basis = []
-        span: list[list] = []
-        for cvec in cols:
-            if any(t != 0 for t in cvec) and not linalg.in_row_span(fd, span, cvec):
-                basis.append(cvec)
-                span = linalg.row_space_reduce(fd, span + [cvec])
-        dims.append(len(basis))
-        incls[v] = linalg.transpose(basis) if basis else [[] for _ in range(x.dims[v])]
-    mats = {}
-    from .modules import _solve_through
-    for ai, a in enumerate(alg.arrows):
-        mats[ai] = _solve_through(fd, incls[a.target], x.mats[ai], incls[a.source],
-                                  x.dims[a.target], dims[a.target],
-                                  x.dims[a.source], dims[a.source], "trace")
-    t = Module(alg, dims, mats)
-    return t, ModuleMorphism(t, x, incls)
+        vecs[v] = [cols[k] for k in linalg.independent_columns(alg.field, [], cols)]
+    return submodule(x, vecs, "trace")
 
 
 def torsion_free_quotient(ctx: Context, u_ids, x: Module
@@ -273,29 +257,24 @@ def minimal_right_approximation(ctx: Context, source_ids, x: Module
     """
     source_ids = sorted(set(source_ids))
     fd = ctx.alg.field
+    homs = {j: hom_basis(ctx.rep(j), x) for j in source_ids}
     chosen: list[ModuleMorphism] = []
     chosen_ids: list[int] = []
     for i in source_ids:
-        homs = hom_basis(ctx.rep(i), x)
-        if not homs:
+        if not homs[i]:
             continue
         rad_vecs = []
         for j in source_ids:
-            outer = hom_basis(ctx.rep(j), x)
-            if not outer:
+            if not homs[j]:
                 continue
             for r in radical_hom_basis(ctx, i, j):
-                for g in outer:
+                for g in homs[j]:
                     vec = g.compose(r).flatten()
                     if any(t != 0 for t in vec):
                         rad_vecs.append(vec)
-        span = linalg.row_space_reduce(fd, rad_vecs)
-        for f in homs:
-            vec = f.flatten()
-            if not linalg.in_row_span(fd, span, vec):
-                chosen.append(f)
-                chosen_ids.append(i)
-                span = linalg.row_space_reduce(fd, span + [vec])
+        for k in linalg.independent_columns(fd, rad_vecs, [f.flatten() for f in homs[i]]):
+            chosen.append(homs[i][k])
+            chosen_ids.append(i)
     if not chosen:
         z = zero_module(ctx.alg)
         return zero_morphism(z, x), []

@@ -9,7 +9,9 @@ from widecat.category import (WideCategory, _irreducible_edges, category_dot,
                               identity_of, morphism)
 from widecat.context import build_context
 from widecat.errors import NotComposable, NotSupportTauRigid
-from widecat.taurigid import CObject, ZERO_COBJECT
+from widecat.sequences import enumerate_signed_sequences
+from widecat.taurigid import (CObject, ZERO_COBJECT, full_subcategory,
+                              stilting_objects, strigid_objects)
 from conftest import load_context
 
 
@@ -188,6 +190,30 @@ def test_preprojective_a3_census():
     ctx = load_context("preproj_a3.alg")
     assert ctx.ind_count() == 12
     assert len(enumerate_wide_subcategories(ctx)) == 24
+
+
+# (dim, indecomposables, s-tau-rigid incl. 0, s-tau-tilting, wide, complete
+# signed sequences, complete sequences with no shifted entry).  Positive
+# roots; cluster-complex faces (Fomin-Zelevinsky, arXiv hep-th/0111053);
+# Coxeter-Catalan numbers for tilting and wide (Ingalls-Thomas, arXiv
+# math/0612219); n! times Catalan for signed sequences, and (n+1)^(n-1) for
+# A_n, 2(n-1)^n for D_n exceptional sequences (Obaid et al., arXiv 1307.7573).
+LADDER_CENSUS = {
+    "a3.alg": (6, 6, 45, 14, 14, 84, 16),
+    "a4.alg": (10, 10, 197, 42, 42, 1008, 125),
+    "d4.alg": (7, 12, 233, 50, 50, 1200, 162),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CENSUS))
+def test_ladder_census_matches_the_literature(name):
+    ctx = load_context(name)
+    full = full_subcategory(ctx)
+    seqs = enumerate_signed_sequences(ctx, full, ctx.alg.n)
+    assert (ctx.alg.dim, ctx.ind_count(), len(strigid_objects(ctx, full)),
+            len(stilting_objects(ctx, full)), len(enumerate_wide_subcategories(ctx)),
+            len(seqs), sum(not any(e.shifts for e in s) for s in seqs)
+            ) == LADDER_CENSUS[name]
 
 
 def test_preprojective_census(pre_ctx, pre_ids):

@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widecat import linalg
@@ -114,3 +114,39 @@ def test_solve_consistency(data, fd):
     else:
         aug = [row + [bb] for row, bb in zip(m, b)]
         assert linalg.rank(fd, aug) == linalg.rank(fd, m) + 1
+
+
+@st.composite
+def _span_problems(draw):
+    """(base, vectors) of one length, with zero and repeated vectors mixed in."""
+    dim = draw(st.integers(min_value=0, max_value=4))
+    vec = st.lists(st.integers(min_value=-2, max_value=2), min_size=dim, max_size=dim)
+    base = draw(st.lists(vec, max_size=3))
+    vectors: list[list[int]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        earlier = base + vectors + [[0] * dim]
+        vectors.append(draw(st.one_of(vec, st.sampled_from(earlier))))
+    return base, vectors
+
+
+def _greedy_independent(fd, base, vectors):
+    """Reference: keep v when it is outside the running span, then add it."""
+    span = linalg.row_space_reduce(fd, base)
+    kept = []
+    for k, v in enumerate(vectors):
+        if not linalg.in_row_span(fd, span, v):
+            kept.append(k)
+            span = linalg.row_space_reduce(fd, span + [v])
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(_span_problems(), st.sampled_from(FIELDS))
+@example(([], [[1, 0], [0, 0], [1, 0], [2, 1]]), QQ)
+@example(([[1, 1]], [[0, 0], [2, 2], [1, 0], [1, 0]]), F101)
+@example(([[], []], [[], []]), QQ)
+@example(([], [[], [], []]), F101)
+def test_independent_columns_matches_greedy_span_loop(problem, fd):
+    base, vectors = ([[fd.of(x) for x in v] for v in vs] for vs in problem)
+    assert linalg.independent_columns(fd, base, vectors) == \
+        _greedy_independent(fd, base, vectors)

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from widecat import build_algebra
 from widecat.modules import (Module, decompose, direct_sum, hom_basis,
                              hom_dim, image, indec_isomorphic,
-                             injective_envelope, is_indecomposable,
-                             is_isomorphic, kernel, cokernel, projective_cover,
-                             simple_module, zero_module, identity_morphism,
-                             zero_morphism)
+                             injective_envelope, injective_sum,
+                             is_indecomposable, is_isomorphic, kernel, cokernel,
+                             projective_cover, projective_sum, simple_module,
+                             zero_module, identity_morphism, zero_morphism)
 from conftest import load_presentation
 
 
@@ -86,14 +86,16 @@ def test_indecomposability_certificates(tri_ctx, tri_ids):
 
 def test_projective_cover_and_injective_envelope(tri_ctx, tri_ids):
     m = tri_ctx.rep(tri_ids["S2"])
-    p, verts, epi = projective_cover(m)
+    p, verts, epi, layout = projective_cover(m)
     assert epi.is_surjective()
     assert tri_ctx.id_of(p) == tri_ids["P2"]
     assert verts == [1]
-    i, verts_i, mono = injective_envelope(m)
+    assert layout == projective_sum(tri_ctx.alg, verts)[1]
+    i, verts_i, mono, layout_i = injective_envelope(m)
     assert mono.is_injective()
     assert tri_ctx.id_of(i) == tri_ids["I2"]
     assert verts_i == [1]
+    assert layout_i == injective_sum(tri_ctx.alg, verts_i)[1]
 
 
 def test_morphism_algebra(tri_ctx, tri_ids):
