@@ -65,6 +65,34 @@ def enumerate_wide_subcategories(ctx: Context) -> list[WideSubcategory]:
     return out
 
 
+def _hom_sets(ctx: Context, drop_zero_object: bool
+              ) -> dict[tuple, dict[tuple, tuple[WideCatMorphism, ...]]]:
+    """source key -> target key -> morphisms, both levels in object order.
+
+    Memoized per context; it holds no reference to the context, so the
+    category built on it can be dropped without keeping the context alive.
+    """
+    memo_key = ("homs", drop_zero_object)
+    if memo_key in ctx.memo:
+        return ctx.memo[memo_key]
+    objects = enumerate_wide_subcategories(ctx)
+    index = {w.key: k for k, w in enumerate(objects)}
+    homs = {}
+    for w in objects:
+        if drop_zero_object and not w.members:
+            continue
+        by_target: dict[tuple, list[WideCatMorphism]] = {}
+        for u in strigid_objects(ctx, w):
+            m = morphism(ctx, w, u)
+            if drop_zero_object and not m.target.members:
+                continue
+            by_target.setdefault(m.target.key, []).append(m)
+        homs[w.key] = {t: tuple(by_target[t])
+                       for t in sorted(by_target, key=index.__getitem__)}
+    ctx.memo[memo_key] = homs
+    return homs
+
+
 class WideCategory:
     """Materialized objects, Hom-sets, ranks, and composition of the category."""
 
@@ -75,27 +103,18 @@ class WideCategory:
                         if w.members or not drop_zero_object]
         self.rank = {w.key: wide_rank(ctx, w) for w in self.objects}
         self._index = {w.key: k for k, w in enumerate(self.objects)}
-        self._homs: dict[tuple, list[WideCatMorphism]] = {}
+        self._homs = _hom_sets(ctx, drop_zero_object)
         self._compose_memo: dict[tuple, WideCatMorphism] = {}
-        for w in self.objects:
-            for u in strigid_objects(ctx, w):
-                m = morphism(ctx, w, u)
-                if drop_zero_object and not m.target.members:
-                    continue
-                self._homs.setdefault((w.key, m.target.key), []).append(m)
 
     def object_index(self, w: WideSubcategory) -> int:
         return self._index[w.key]
 
     def hom_set(self, w1: WideSubcategory, w2: WideSubcategory
                 ) -> list[WideCatMorphism]:
-        return list(self._homs.get((w1.key, w2.key), []))
+        return list(self._homs.get(w1.key, {}).get(w2.key, ()))
 
     def morphisms_from(self, w: WideSubcategory) -> list[WideCatMorphism]:
-        out = []
-        for w2 in self.objects:
-            out.extend(self.hom_set(w, w2))
-        return out
+        return [m for ms in self._homs.get(w.key, {}).values() for m in ms]
 
     def all_morphisms(self) -> list[WideCatMorphism]:
         out = []

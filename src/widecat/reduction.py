@@ -16,6 +16,13 @@ that table by `e_map` and its inverse `f_map`.  `e_map_key` works as follows:
 * then the image of the shifted part acts on the result (case II):
   modules pass through, shifted summands get the torsion-free quotient.
 
+Two memos sit on top of the table.  `f_map` reads the inverse of the table
+from `ctx.memo[("finv", w.key, obj)]`, built once per (W, object).  Cases
+I(a) and II(b) apply f_U to an enumerated class X; f_U is computed in mod A
+and does not depend on W, so its class id is kept under
+`("f_U", frozenset(U), X)`.  Both store only successful results, so a
+failing case raises on every call.
+
 The cone route tolerates non-minimal approximations: a surplus summand that
 factors through the rest contributes only add(U) pieces to the degree -1
 homology, and the torsion-free quotient deletes those.  Every case asserts
@@ -93,6 +100,14 @@ def _strip_and_register(ctx: Context, u_ids, m: Module, what: str) -> int:
     return idx
 
 
+def _f_class(ctx: Context, u_ids, x: int, what: str) -> int:
+    """f_U of the enumerated class x, as a class id (memoized on ids)."""
+    memo_key = ("f_U", frozenset(u_ids), x)
+    if memo_key not in ctx.memo:
+        ctx.memo[memo_key] = _strip_and_register(ctx, u_ids, ctx.rep(x), what)
+    return ctx.memo[memo_key]
+
+
 def _cone_reduction(ctx: Context, w: WideSubcategory, u_ids, target: TwoTermComplex,
                     require_h0_zero: bool, what: str) -> int:
     """Common core of cases I(b) and I(c): approximate, cone, strip, shift."""
@@ -136,7 +151,7 @@ def _e_module_stage(ctx: Context, w: WideSubcategory, u_ids: tuple[int, ...],
                     "case I(b): result is not Ext-projective in the reduced world")
             return ("s", idx)
         # I(a): plain torsion-free quotient
-        idx = _strip_and_register(ctx, u_ids, ctx.rep(x), "case I(a)")
+        idx = _f_class(ctx, u_ids, x, "case I(a)")
         _expect(idx in w1.members, "case I(a): result left the reduced world")
         return ("m", idx)
     # I(c): shifted summand, cone against (Q -> 0)
@@ -158,7 +173,7 @@ def _e_shift_stage(ctx: Context, w1: WideSubcategory, q_ids: tuple[int, ...],
                 "case II(a): module summand admits maps from the support part")
         return key
     _expect(x not in q_ids, "case II(b): summand collides with the support part")
-    idx = _strip_and_register(ctx, q_ids, ctx.rep(x), "case II(b)")
+    idx = _f_class(ctx, q_ids, x, "case II(b)")
     return ("s", idx)
 
 
@@ -228,10 +243,13 @@ def f_map(ctx: Context, w: WideSubcategory | None, obj: CObject, y: CObject) -> 
     """The inverse bijection: summands of C(J_W(obj)) pulled back to C(W)."""
     if w is None:
         w = full_subcategory(ctx)
-    table = e_table(ctx, w, obj)
-    inverse: dict[Key, Key] = {}
-    for k, v in table.items():
-        inverse.setdefault(v, k)
+    memo_key = ("finv", w.key, obj)
+    if memo_key not in ctx.memo:
+        inverse: dict[Key, Key] = {}
+        for k, v in e_table(ctx, w, obj).items():
+            inverse.setdefault(v, k)
+        ctx.memo[memo_key] = inverse
+    inverse = ctx.memo[memo_key]
     keys = []
     for k in y.keys():
         if k not in inverse:

@@ -79,10 +79,15 @@ def phi(ctx: Context, w: WideSubcategory | None, entries) -> tuple[CObject, ...]
     entries = tuple(entries)
     if not is_signed_tau_exceptional(ctx, w, entries):
         raise NotExceptional("input is not a signed exceptional sequence")
+    return _phi(ctx, w, entries)
+
+
+def _phi(ctx: Context, w: WideSubcategory, entries: tuple) -> tuple[CObject, ...]:
+    """`phi` on a sequence already known to be signed exceptional."""
     if len(entries) <= 1:
         return entries
     last = entries[-1]
-    inner = phi(ctx, wide_of(ctx, w, last), entries[:-1])
+    inner = _phi(ctx, wide_of(ctx, w, last), entries[:-1])
     pulled = tuple(f_map(ctx, w, last, v) for v in inner)
     return pulled + (last,)
 

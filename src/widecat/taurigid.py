@@ -12,10 +12,12 @@ support tau-rigid object in W is a pair (module part, shifted part): the
 module part is a basic tau_W-rigid module in W, the shifted part a basic
 Ext-projective of W with no maps into the module part, and the whole thing
 is determined by pairwise conditions — so enumeration is clique search in
-the compatibility graph.
+the compatibility graph.  That search is the only place rigidity is proved:
+`is_support_tau_rigid` is membership in the (memoized) set of cliques.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import linalg
@@ -87,16 +89,9 @@ class WideSubcategory:
 
     members: frozenset[int]
 
-    @property
+    @functools.cached_property
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
-
-    @property
-    def rank_hint(self) -> int:
-        return len(self.members)
-
-    def contains(self, i: int) -> bool:
-        return i in self.members
 
     def describe(self, ctx: Context) -> str:
         if len(self.members) == ctx.ind_count():
@@ -185,19 +180,13 @@ def candidate_keys(ctx: Context, w: WideSubcategory) -> list[Key]:
 
 
 def is_support_tau_rigid(ctx: Context, w: WideSubcategory | None, obj: CObject) -> bool:
+    """Membership in the clique set of C(W) (see `strigid_objects`)."""
     if w is None:
         w = full_subcategory(ctx)
-    if not set(obj.mods) <= w.members:
-        return False
-    pw = set(ext_projective_ids(ctx, w))
-    if not set(obj.shifts) <= pw:
-        return False
-    keys = obj.keys()
-    for x in range(len(keys)):
-        for y in range(x, len(keys)):
-            if not keys_compatible(ctx, w, keys[x], keys[y]):
-                return False
-    return True
+    memo_key = ("strigid_set", w.key)
+    if memo_key not in ctx.memo:
+        ctx.memo[memo_key] = frozenset(strigid_objects(ctx, w))
+    return obj in ctx.memo[memo_key]
 
 
 def strigid_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:

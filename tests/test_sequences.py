@@ -45,6 +45,17 @@ def test_phi_rejects_non_sequences(a2_ctx, a2_ids, a2_labels):
                      a2_labels["mS1"]))
 
 
+def test_invalid_input_raises_on_every_call(a2_ctx, a2_labels):
+    """Failures are not memoized: a repeated bad call raises again."""
+    bad_seq = (a2_labels["mS2"], a2_labels["mS2"])
+    bad_ordered = (a2_labels["mS1"], a2_labels["mS2"])  # tau S1 = S2
+    for _ in range(2):
+        with pytest.raises(NotExceptional):
+            phi(a2_ctx, None, bad_seq)
+        with pytest.raises(NotExceptional):
+            phi_inverse(a2_ctx, None, bad_ordered)
+
+
 def test_round_trips_and_counts_a2(a2_ctx):
     expected = {0: 1, 1: 5, 2: 10}
     for t in range(0, 3):

@@ -1,6 +1,9 @@
 """Torsion functors, rigidity predicates, approximations, completions."""
+import itertools
+
 import pytest
 
+from widecat.category import enumerate_wide_subcategories
 from widecat.errors import NotSupportTauRigid, WidecatError
 from widecat.modules import decompose, hom_basis, is_isomorphic
 from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
@@ -11,6 +14,7 @@ from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
                               split_projective_part, stilting_objects,
                               strigid_objects, torsion_free_quotient,
                               trace_submodule, wide_rank)
+from widecat.verify import _link
 
 
 def test_trace_and_quotient_oracles(tri_ctx, tri_ids):
@@ -204,3 +208,63 @@ def test_cobject_helpers(tri_ids):
     u = o.union(CObject.of((tri_ids["P2"],)))
     assert u.delta == 3
     assert ZERO_COBJECT.is_zero and ZERO_COBJECT.delta == 0
+
+
+def _pairwise_rigid(ctx, w, obj):
+    """Support tau-rigidity in C(W) straight from the definition: modules in
+    W, shifts Ext-projective in W, every pair of summands compatible."""
+    if not set(obj.mods) <= w.members:
+        return False
+    for p in obj.shifts:
+        if p not in w.members or any(ctx.ext1(p, j) for j in w.members):
+            return False
+    keys = obj.keys()
+    return all(keys_compatible(ctx, w, a, b)
+               for n, a in enumerate(keys) for b in keys[n:])
+
+
+def _basic_key_sets(ctx, size):
+    """Every basic object of at most `size` summands over all classes."""
+    keys = [(kind, i) for i in ctx.ind_ids() for kind in "ms"]
+    for k in range(size + 1):
+        for chosen in itertools.combinations(keys, k):
+            ids = [i for _, i in chosen]
+            if len(set(ids)) == len(ids):
+                yield CObject.from_keys(chosen)
+
+
+@pytest.mark.parametrize("which", ["tri_ctx", "pre_ctx"])
+def test_rigidity_membership_matches_the_pairwise_definition(request, which):
+    ctx = request.getfixturevalue(which)
+    seen = {"outside W": 0, "shift not Ext-projective": 0, "not rigid": 0,
+            "rigid": 0}
+    for w in enumerate_wide_subcategories(ctx):
+        projs = set(ext_projective_ids(ctx, w))
+        for obj in _basic_key_sets(ctx, wide_rank(ctx, w) + 1):
+            want = _pairwise_rigid(ctx, w, obj)
+            assert is_support_tau_rigid(ctx, w, obj) == want, (w.key, obj)
+            if want:
+                seen["rigid"] += 1
+            elif not set(obj.mods) <= w.members:
+                seen["outside W"] += 1
+            elif not set(obj.shifts) <= projs:
+                seen["shift not Ext-projective"] += 1
+            else:
+                seen["not rigid"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("which", ["tri_ctx", "pre_ctx"])
+def test_link_index_matches_a_brute_filter(request, which):
+    ctx = request.getfixturevalue(which)
+    full = full_subcategory(ctx)
+    objs = strigid_objects(ctx, full)
+    link = _link(ctx)
+    assert set(link) == set(objs)
+    for s in objs:
+        brute = [x for x in objs
+                 if not set(x.mods + x.shifts) & set(s.mods + s.shifts)
+                 and _pairwise_rigid(ctx, full,
+                                     CObject.from_keys(x.keys() + s.keys()))]
+        assert list(link[s]) == brute, s
+    assert sum(map(len, link.values())) == sum(2 ** o.delta for o in objs)

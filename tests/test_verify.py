@@ -1,8 +1,12 @@
 """Theorem verification suites: green on the corpus, and able to catch bugs."""
+import gc
+import weakref
+
 import pytest
 
 from widecat.reduction import e_table
 from widecat.verify import SUITE_NAMES, run_suite, run_verify
+from conftest import load_context
 
 # Exhaustive check counts per algebra.  These are structural: they count
 # ordered pairs, morphism pairs (sum of 2^delta), composable triples
@@ -97,3 +101,72 @@ def test_mutated_reduction_is_caught(a2_ctx):
     assert not rep.ok
     assert any(f.check == "summand-map-injective" for f in rep.failures)
     assert all(f.counterexample for f in rep.failures)
+
+
+def test_missing_table_key_is_reported_not_raised(tri_ctx):
+    """A table that lacks a summand turns the sweeps red; nothing escapes.
+
+    Only tables of objects with two or more summands lose a key, so in
+    associativity the one-step image by u + v fails while the two-step image
+    through u alone is still defined."""
+
+    def dropping(ctx, w, obj):
+        table = dict(e_table(ctx, w, obj))
+        if w is None and obj.delta >= 2 and table:
+            del table[max(table)]
+        return table
+
+    expected = {"bijection": "object-image-formed",
+                "composition": "two-step-target-matches",
+                "associativity": "stepwise-image-defined"}
+    for suite, check in expected.items():
+        rep = run_suite(tri_ctx, suite, table_impl=dropping)
+        assert not rep.ok, suite
+        assert any(f.check == check for f in rep.failures), suite
+        assert all(f.counterexample for f in rep.failures), suite
+
+
+# Cluster-complex f-vectors (f_0 = 1 for the zero object, then faces by
+# size) from Fomin-Zelevinsky, arXiv hep-th/0111053.  Every support
+# tau-rigid T gives 2^|T| splits u + v (composition), 3^|T| splits
+# u + v + x (associativity), and the bijection suite makes three checks per
+# reducing object plus two per compatible object.
+F_VECTORS = {
+    "a3.alg": (1, 9, 21, 14),
+    "a4.alg": (1, 14, 56, 84, 42),
+    "d4.alg": (1, 16, 66, 100, 50),
+}
+SUITE_SIZES = {
+    "a3.alg": {"composition": 215, "associativity": 595, "bijection": 565},
+    "a4.alg": {"composition": 1597, "associativity": 6217,
+               "bijection": 3785},
+    "d4.alg": {"composition": 1897, "associativity": 7393,
+               "bijection": 4493},
+}
+
+
+@pytest.mark.parametrize("name", sorted(F_VECTORS))
+def test_suite_sizes_match_the_closed_forms(name):
+    f = F_VECTORS[name]
+    sums = {b: sum(fk * b ** k for k, fk in enumerate(f)) for b in (1, 2, 3)}
+    closed = {"composition": sums[2], "associativity": sums[3],
+              "bijection": 3 * sums[1] + 2 * sums[2]}
+    assert closed == SUITE_SIZES[name]
+    ctx = load_context(name)
+    for suite, want in closed.items():
+        rep = run_suite(ctx, suite)
+        assert rep.ok and rep.checks == want, (suite, rep.checks)
+
+
+def test_verify_leaves_no_reference_to_the_context():
+    """The memos hold no object that refers back to the context, so the
+    context dies with its last reference even with the cycle collector off."""
+    ctx = load_context("triangle.alg")
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        assert all(r.ok for r in run_verify(ctx))
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
