@@ -106,7 +106,6 @@ class Algebra:
             self.arrows.append(Arrow(lab, self._vertex_index[s], self._vertex_index[t]))
         self._relations = [self._check_relation(r) for r in presentation.relations]
         self._build_basis()
-        self._mult_memo: dict[tuple[int, int], dict[int, object]] = {}
 
     # ----- presentation checks ------------------------------------------
 
@@ -245,16 +244,10 @@ class Algebra:
 
     def mult(self, i: int, j: int) -> dict[int, object]:
         """Product basis[i] * basis[j] = "apply path j, then path i"."""
-        key = (i, j)
-        if key in self._mult_memo:
-            return self._mult_memo[key]
         pi, pj = self.basis[i], self.basis[j]
         if self.path_target(pj) != self.path_source(pi):
-            out: dict[int, object] = {}
-        else:
-            out = self.reduce_path((pj[0], pj[1] + pi[1]))
-        self._mult_memo[key] = out
-        return out
+            return {}
+        return self.reduce_path((pj[0], pj[1] + pi[1]))
 
     def arrow_times_path(self, arrow_idx: int, path_basis_idx: int) -> dict[int, object]:
         """Left multiplication of a basis path by one arrow (sparse result)."""

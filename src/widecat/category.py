@@ -32,10 +32,6 @@ class WideCatMorphism:
     target: WideSubcategory
     label: CObject
 
-    @property
-    def is_identity(self) -> bool:
-        return self.label.is_zero
-
     def describe(self, ctx: Context) -> str:
         return (f"g[{self.label.describe(ctx)}]: {self.source.describe(ctx)}"
                 f" -> {self.target.describe(ctx)}")

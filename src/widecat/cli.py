@@ -47,11 +47,15 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="output format (text, json, dot where applicable)")
 
 
-def _load(args):
+def _presentation(args):
     pres = parse_algebra_file(args.file)
     if args.field:
         pres = dataclasses.replace(pres, field=field_from_name(args.field))
-    alg = build_algebra(pres)
+    return pres
+
+
+def _load(args):
+    alg = build_algebra(_presentation(args))
     return alg, context_for(alg, cache_dir=args.cache_dir, budget=args.budget)
 
 
@@ -89,9 +93,7 @@ def _parse_object(ctx, names) -> CObject:
 
 def _cmd_algebra(args) -> int:
     if args.verb == "check":
-        pres = parse_algebra_file(args.file)
-        if args.field:
-            pres = dataclasses.replace(pres, field=field_from_name(args.field))
+        pres = _presentation(args)
         alg = build_algebra(pres)
         doc = {
             "vertices": len(pres.vertices),

@@ -1,12 +1,15 @@
 """Per-algebra computation context.
 
-Owns the iso-class registry and every cache keyed by class ids: Hom bases,
-Ext^1 dimensions, minimal presentations, the AR translate tables, and
-generated-subcategory membership.  Enumeration of all indecomposables runs
-once, breadth-first from the projectives (then injectives), closing under
-radical summands, both AR translates, almost-split middle terms, and socle
-quotients; a budget caps the number of iso classes so representation-infinite
-input fails fast instead of spinning.
+Owns the iso-class registry (first-seen ids, found by an isomorphism scan
+over the classes with the same dimension vector) and every cache keyed by
+class ids: Hom bases, Ext^1 dimensions, minimal presentations, the AR
+translate tables, and generated-subcategory membership.  Enumeration of all
+indecomposables runs once, breadth-first from the projectives (then
+injectives), closing under radical summands, both AR translates,
+almost-split middle terms, and socle quotients; the translate tables are
+filled in the same pass, as each translate is computed.  A budget caps the
+number of iso classes so representation-infinite input fails fast instead
+of spinning.
 
 Caches are plain dicts filled on first use; every value is deterministic.
 """
@@ -14,12 +17,12 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import Algebra
-from .errors import BudgetExceeded
-from .homology import Presentation, ar_translate, ar_translate_inverse, ext1_dim, minimal_presentation
-from .modules import (IsoClassRegistry, Module, ModuleMorphism, cokernel,
-                      decompose, hom_basis, injective_module,
-                      projective_module, radical_inclusion, socle_vectors,
-                      submodule)
+from .arquiver import almost_split_sequence
+from .errors import BudgetExceeded, InjectiveInput
+from .homology import Presentation, ar_translate, ext1_dim, minimal_presentation
+from .modules import (Module, ModuleMorphism, cokernel, decompose, hom_basis,
+                      indec_isomorphic, injective_module, projective_module,
+                      radical_inclusion, socle_vectors, submodule)
 
 DEFAULT_BUDGET = 10_000
 
@@ -29,7 +32,8 @@ class Context:
                  snapshot: dict | None = None):
         self.alg = alg
         self.budget = budget
-        self.registry = IsoClassRegistry(alg)
+        self._reps: list[Module] = []
+        self._by_dims: dict[tuple[int, ...], list[int]] = {}
         self.projective_ids: list[int] = []
         self.injective_ids: list[int] = []
         self._hom: dict[tuple[int, int], list[ModuleMorphism]] = {}
@@ -42,7 +46,6 @@ class Context:
         self.memo: dict = {}  # cross-module cache (reductions, tables)
         if snapshot is None:
             self._enumerate()
-            self._fill_translate_tables()
             self._fill_labels()
         else:
             self._restore(snapshot)
@@ -57,106 +60,107 @@ class Context:
         if len(self.projective_ids) != self.alg.n or len(self.injective_ids) != self.alg.n:
             raise ValueError("stored projective/injective id lists have wrong length")
         for v in range(self.alg.n):
-            if self.registry.find(projective_module(self.alg, v)) != self.projective_ids[v]:
+            if self.id_of(projective_module(self.alg, v)) != self.projective_ids[v]:
                 raise ValueError("stored projective ids are wrong")
-            if self.registry.find(injective_module(self.alg, v)) != self.injective_ids[v]:
+            if self.id_of(injective_module(self.alg, v)) != self.injective_ids[v]:
                 raise ValueError("stored injective ids are wrong")
         self._tau = dict(enumerate(snap["tau"]))
         self._tau_inv = dict(enumerate(snap["tau_inv"]))
         self._labels = dict(enumerate(snap["labels"]))
-        n = len(self.registry)
+        n = len(self._reps)
         if not (len(self._tau) == len(self._tau_inv) == len(self._labels) == n):
             raise ValueError("stored tables do not match the module count")
 
     # -- enumeration -----------------------------------------------------
 
     def _register(self, m: Module) -> int:
-        idx = self.registry.register(m)
-        if len(self.registry) > self.budget:
+        """Id of the class of an indecomposable, appending it when new."""
+        found = self.id_of(m)
+        if found is not None:
+            return found
+        self._by_dims.setdefault(m.dims, []).append(len(self._reps))
+        self._reps.append(m)
+        if len(self._reps) > self.budget:
             raise BudgetExceeded(
                 f"more than {self.budget} indecomposable classes; "
                 "raise the budget if the algebra really is this large")
-        return idx
+        return len(self._reps) - 1
+
+    def _register_translate(self, t: Module) -> int | None:
+        """Id of the one summand of an AR translate; None when it is zero."""
+        pieces = decompose(t)
+        if not pieces:
+            return None
+        assert len(pieces) == 1, "AR translate of an indecomposable split"
+        return self._register(pieces[0])
 
     def _socle_quotient(self, m: Module) -> Module:
         return cokernel(submodule(m, socle_vectors(m), "socle")[1])[0]
 
     def _enumerate(self) -> None:
-        from .arquiver import almost_split_sequence
         for v in range(self.alg.n):
             self.projective_ids.append(self._register(projective_module(self.alg, v)))
         for v in range(self.alg.n):
             self.injective_ids.append(self._register(injective_module(self.alg, v)))
         i = 0
-        while i < len(self.registry):
-            m = self.registry.rep(i)
-            produced: list[Module] = []
-            produced.extend(decompose(radical_inclusion(m)[0]))
-            tinv = ar_translate_inverse(m)
-            produced.extend(decompose(tinv))
-            if not tinv.is_zero:
-                produced.extend(decompose(almost_split_sequence(m).middle))
-            produced.extend(decompose(ar_translate(m)))
-            produced.extend(decompose(self._socle_quotient(m)))
-            for piece in produced:
+        while i < len(self._reps):
+            m = self._reps[i]
+            for piece in decompose(radical_inclusion(m)[0]):
                 self._register(piece)
-            i += 1
-
-    def _fill_translate_tables(self) -> None:
-        for i in range(len(self.registry)):
-            t = decompose(ar_translate(self.registry.rep(i)))
-            if not t:
-                self._tau[i] = None
-            else:
-                assert len(t) == 1, "AR translate of an indecomposable split"
-                self._tau[i] = self.registry.find(t[0])
-                assert self._tau[i] is not None, "translate escaped enumeration"
-            ti = decompose(ar_translate_inverse(self.registry.rep(i)))
-            if not ti:
+            try:
+                seq = almost_split_sequence(m)
+            except InjectiveInput:
                 self._tau_inv[i] = None
             else:
-                assert len(ti) == 1
-                self._tau_inv[i] = self.registry.find(ti[0])
-                assert self._tau_inv[i] is not None
+                self._tau_inv[i] = self._register_translate(seq.right)
+                for piece in decompose(seq.middle):
+                    self._register(piece)
+            self._tau[i] = self._register_translate(ar_translate(m))
+            for piece in decompose(self._socle_quotient(m)):
+                self._register(piece)
+            i += 1
 
     def _fill_labels(self) -> None:
         for k, i in enumerate(self.projective_ids):
             self._labels.setdefault(i, f"P{self.alg.vertex_labels[k]}")
         for k, i in enumerate(self.injective_ids):
             self._labels.setdefault(i, f"I{self.alg.vertex_labels[k]}")
-        for i in range(len(self.registry)):
-            dims = self.registry.rep(i).dims
+        for i, m in enumerate(self._reps):
+            dims = m.dims
             if sum(dims) == 1:
                 v = dims.index(1)
                 self._labels.setdefault(i, f"S{self.alg.vertex_labels[v]}")
-        for i in range(len(self.registry)):
+        for i in range(len(self._reps)):
             self._labels.setdefault(i, f"M{i}")
 
     # -- accessors ---------------------------------------------------------
 
     def ind_count(self) -> int:
-        return len(self.registry)
+        return len(self._reps)
 
     def ind_ids(self) -> list[int]:
-        return list(range(len(self.registry)))
+        return list(range(len(self._reps)))
 
     def rep(self, i: int) -> Module:
-        return self.registry.rep(i)
+        return self._reps[i]
 
     def dims(self, i: int) -> tuple[int, ...]:
-        return self.registry.rep(i).dims
+        return self._reps[i].dims
 
     def label(self, i: int) -> str:
         return self._labels[i]
 
     def id_of(self, m: Module) -> int | None:
         """Class id of an indecomposable module, if enumerated."""
-        return self.registry.find(m)
+        for i in self._by_dims.get(m.dims, ()):
+            if indec_isomorphic(self._reps[i], m):
+                return i
+        return None
 
     def hom(self, i: int, j: int) -> list[ModuleMorphism]:
         key = (i, j)
         if key not in self._hom:
-            self._hom[key] = hom_basis(self.registry.rep(i), self.registry.rep(j))
+            self._hom[key] = hom_basis(self._reps[i], self._reps[j])
         return self._hom[key]
 
     def hom_dim(self, i: int, j: int) -> int:
@@ -164,13 +168,13 @@ class Context:
 
     def pres(self, i: int) -> Presentation:
         if i not in self._pres:
-            self._pres[i] = minimal_presentation(self.registry.rep(i))
+            self._pres[i] = minimal_presentation(self._reps[i])
         return self._pres[i]
 
     def ext1(self, i: int, j: int) -> int:
         key = (i, j)
         if key not in self._ext:
-            self._ext[key] = ext1_dim(self.registry.rep(i), self.registry.rep(j),
+            self._ext[key] = ext1_dim(self._reps[i], self._reps[j],
                                       self.pres(i))
         return self._ext[key]
 
@@ -195,8 +199,7 @@ class Context:
             return self._gen[gens]
         out = set()
         glist = sorted(gens)
-        for x in range(len(self.registry)):
-            target = self.registry.rep(x)
+        for x, target in enumerate(self._reps):
             ok = True
             for v in range(self.alg.n):
                 if target.dims[v] == 0:

@@ -172,11 +172,8 @@ def _nu_block(alg, x: dict[int, object], v: int, w: int, u: int,
     src_pos = {pi: c for c, pi in enumerate(src_paths)}
     block = linalg.zeros(fd, len(tgt_paths), len(src_paths))
     for r, qi in enumerate(tgt_paths):
-        q = alg.basis[qi]
         for pxi, cx in x.items():
-            px = alg.basis[pxi]
-            prod = alg.reduce_path((q[0], q[1] + px[1]))
-            for pi, cp in prod.items():
+            for pi, cp in alg.mult(pxi, qi).items():
                 if pi in src_pos:
                     block[r][src_pos[pi]] = fd.add(block[r][src_pos[pi]],
                                                    fd.mul(cx, cp))
@@ -279,11 +276,8 @@ def inv_nakayama_map(alg: Algebra, verts0: list[int], verts1: list[int],
                 off_t, tgt_paths = lay1[j][u]   # paths w -> u
                 tgt_pos = {pi: r for r, pi in enumerate(tgt_paths)}
                 for c, zi in enumerate(src_paths):
-                    z = alg.basis[zi]
                     for pxi, cx in x.items():
-                        px = alg.basis[pxi]
-                        prod = alg.reduce_path((px[0], px[1] + z[1]))
-                        for pi, cp in prod.items():
+                        for pi, cp in alg.mult(zi, pxi).items():
                             if pi in tgt_pos:
                                 r = tgt_pos[pi]
                                 mats[u][off_t + r][off_s + c] = \

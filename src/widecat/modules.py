@@ -73,10 +73,6 @@ class Module:
     # -- structure --------------------------------------------------------
 
     @property
-    def dim_vector(self) -> tuple[int, ...]:
-        return self.dims
-
-    @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
@@ -96,21 +92,12 @@ class Module:
         """Matrix of a path acting M_source -> M_target."""
         return self._path_matrix(path[0], path[1])
 
-    def element_action(self, elem: dict[int, object], src: int, tgt: int):
-        """Matrix of a sparse algebra element supported on paths src -> tgt."""
-        acc = linalg.zeros(self.alg.field, self.dims[tgt], self.dims[src])
-        for bi, coeff in elem.items():
-            p = self.alg.basis[bi]
-            acc = linalg.mat_add(self.alg.field, acc,
-                                 linalg.mat_scale(self.alg.field, coeff, self.path_action(p)))
-        return acc
-
     def __repr__(self):
         return f"Module{self.dims}"
 
 
 class ModuleMorphism:
-    def __init__(self, source: Module, target: Module, mats, check: bool = False):
+    def __init__(self, source: Module, target: Module, mats):
         if source.alg is not target.alg:
             raise AlgebraMismatch("morphism between modules over different algebras")
         self.source = source
@@ -119,26 +106,6 @@ class ModuleMorphism:
         for v in range(source.alg.n):
             r, c = target.dims[v], source.dims[v]
             self.mats[v] = mats[v] if r and c else linalg.zeros(source.alg.field, r, c)
-        if check:
-            self._validate()
-
-    def _validate(self):
-        alg = self.source.alg
-        for v in range(alg.n):
-            r, c = linalg.shape(self.mats[v])
-            er, ec = self.target.dims[v], self.source.dims[v]
-            if r != er or (r > 0 and c != ec):
-                raise ValueError("morphism block shape mismatch")
-        f = alg.field
-        for ai, a in enumerate(alg.arrows):
-            lhs = _mm(f, self.mats[a.target], self.source.mats[ai],
-                      self.target.dims[a.target], self.source.dims[a.target],
-                      self.source.dims[a.source])
-            rhs = _mm(f, self.target.mats[ai], self.mats[a.source],
-                      self.target.dims[a.target], self.target.dims[a.source],
-                      self.source.dims[a.source])
-            if lhs != rhs:
-                raise ValueError(f"morphism does not commute with arrow {a.label}")
 
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self o other (apply `other` first)."""
@@ -859,38 +826,3 @@ def _match_summands(ms: list[Module], ns: list[Module]) -> bool:
             return False
     return True
 
-
-# -- iso-class registry --------------------------------------------------------
-
-class IsoClassRegistry:
-    """First-seen numbering of indecomposable iso-classes.
-
-    Also memoizes nothing else; higher-level caches live in Context.
-    """
-
-    def __init__(self, alg: Algebra):
-        self.alg = alg
-        self.reps: list[Module] = []
-        self._by_dims: dict[tuple[int, ...], list[int]] = {}
-
-    def __len__(self):
-        return len(self.reps)
-
-    def rep(self, i: int) -> Module:
-        return self.reps[i]
-
-    def find(self, m: Module) -> int | None:
-        """Id of the class of an indecomposable module, if registered."""
-        for i in self._by_dims.get(m.dims, []):
-            if indec_isomorphic(self.reps[i], m):
-                return i
-        return None
-
-    def register(self, m: Module) -> int:
-        found = self.find(m)
-        if found is not None:
-            return found
-        self.reps.append(m)
-        idx = len(self.reps) - 1
-        self._by_dims.setdefault(m.dims, []).append(idx)
-        return idx

@@ -222,11 +222,8 @@ def strigid_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:
 
 def stilting_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:
     """Maximal (support tau-tilting) objects: the cliques of maximal size."""
-    objs = strigid_objects(ctx, w)
-    if not objs:
-        return []
-    rank = max(o.delta for o in objs)
-    return [o for o in objs if o.delta == rank]
+    rank = wide_rank(ctx, w)
+    return [o for o in strigid_objects(ctx, w) if o.delta == rank]
 
 
 def wide_rank(ctx: Context, w: WideSubcategory) -> int:

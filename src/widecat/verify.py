@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .category import (WideCategory, enumerate_wide_subcategories,
@@ -70,10 +71,12 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, name: str, ok: bool, counterexample: str = "") -> None:
+    def check(self, name: str, ok: bool,
+              counterexample: Callable[[], str] = str) -> None:
+        """Count one check; build its counterexample text only on failure."""
         self.checks += 1
         if not ok:
-            self.failures.append(Failure(name, counterexample))
+            self.failures.append(Failure(name, counterexample()))
 
     def describe(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.failures)} FAILED"
@@ -116,22 +119,22 @@ def _suite_homological(ctx: Context, rep: VerificationReport,
         c = all(ctx.ext1(x, g) == 0 for g in gen)
         at = f"U={ctx.label(u)}, X={ctx.label(x)}"
         rep.check("rigidity-module-vs-two-term", a == b,
-                  f"{at}: vanishing of maps into the translate says {a}, "
-                  f"shifted chain maps of presentations say {b}")
+                  lambda: f"{at}: vanishing of maps into the translate says "
+                          f"{a}, shifted chain maps of presentations say {b}")
         rep.check("rigidity-module-vs-ext", a == c,
-                  f"{at}: vanishing of maps into the translate says {a}, "
-                  f"extensions into the generated class say {c}")
+                  lambda: f"{at}: vanishing of maps into the translate says "
+                          f"{a}, extensions into the generated class say {c}")
     for i in ids:
         t = ctx.tau(i)
         if t is not None:
             rep.check("translate-round-trip", ctx.tau_inv(t) == i,
-                      f"inverse translate of translate({ctx.label(i)}) is "
-                      f"{ctx.label(ctx.tau_inv(t)) if ctx.tau_inv(t) is not None else 0}")
+                      lambda: f"inverse translate of translate({ctx.label(i)})"
+                              f" is {ctx.label(ctx.tau_inv(t)) if ctx.tau_inv(t) is not None else 0}")
         ti = ctx.tau_inv(i)
         if ti is not None:
             rep.check("inverse-translate-round-trip", ctx.tau(ti) == i,
-                      f"translate of inverse-translate({ctx.label(i)}) is "
-                      f"{ctx.label(ctx.tau(ti)) if ctx.tau(ti) is not None else 0}")
+                      lambda: f"translate of inverse-translate({ctx.label(i)})"
+                              f" is {ctx.label(ctx.tau(ti)) if ctx.tau(ti) is not None else 0}")
 
 
 def _suite_bijection(ctx: Context, rep: VerificationReport,
@@ -144,11 +147,13 @@ def _suite_bijection(ctx: Context, rep: VerificationReport,
         at = f"reducing by {u.describe(ctx)}"
         values = list(table.values())
         rep.check("summand-map-injective", len(set(values)) == len(values),
-                  f"{at}: two summands share the image among {sorted(values)}")
+                  lambda: f"{at}: two summands share the image among "
+                          f"{sorted(values)}")
         target_keys = set(candidate_keys(ctx, w1))
         rep.check("summand-map-onto", set(values) == target_keys,
-                  f"{at}: images {sorted(set(values))} vs candidate summands "
-                  f"{sorted(target_keys)} of {_members(ctx, w1)}")
+                  lambda: f"{at}: images {sorted(set(values))} vs candidate "
+                          f"summands {sorted(target_keys)} of "
+                          f"{_members(ctx, w1)}")
         domain = link[u]
         images = []
         for x in domain:
@@ -158,22 +163,24 @@ def _suite_bijection(ctx: Context, rep: VerificationReport,
                 raise
             except (KeyError, WidecatError) as exc:
                 rep.check("object-image-formed", False,
-                          f"{at}: image of {x.describe(ctx)} is not a valid "
-                          f"object ({exc})")
+                          lambda: f"{at}: image of {x.describe(ctx)} is not "
+                                  f"a valid object ({exc})")
                 continue
             images.append(y)
             rep.check("object-image-summand-count", y.delta == x.delta,
-                      f"{at}: {x.describe(ctx)} has {x.delta} summands, its "
-                      f"image {y.describe(ctx)} has {y.delta}")
+                      lambda: f"{at}: {x.describe(ctx)} has {x.delta} "
+                              f"summands, its image {y.describe(ctx)} has "
+                              f"{y.delta}")
             rep.check("object-image-rigid", is_support_tau_rigid(ctx, w1, y),
-                      f"{at}: image {y.describe(ctx)} of {x.describe(ctx)} is "
-                      f"not support tau-rigid in {_members(ctx, w1)}")
+                      lambda: f"{at}: image {y.describe(ctx)} of "
+                              f"{x.describe(ctx)} is not support tau-rigid in "
+                              f"{_members(ctx, w1)}")
         expected = set(strigid_objects(ctx, w1))
         rep.check("object-map-bijective",
                   len(set(images)) == len(images) and set(images) == expected,
-                  f"{at}: {len(domain)} compatible objects map onto "
-                  f"{len(set(images))} of the {len(expected)} objects of "
-                  f"{_members(ctx, w1)}")
+                  lambda: f"{at}: {len(domain)} compatible objects map onto "
+                          f"{len(set(images))} of the {len(expected)} objects "
+                          f"of {_members(ctx, w1)}")
 
 
 def _link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
@@ -224,14 +231,14 @@ def _suite_composition(ctx: Context, rep: VerificationReport,
             ev = _image(table_impl(ctx, None, u), v)
         except KeyError as exc:
             rep.check("two-step-target-matches", False,
-                      f"{at}: V has no image ({exc})")
+                      lambda: f"{at}: V has no image ({exc})")
             continue
         lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
         rhs = wide_of(ctx, None, uv)
         rep.check("two-step-target-matches",
                   lhs.members == rhs.members,
-                  f"{at}: two-step target "
-                  f"{_members(ctx, lhs)} vs one-step {_members(ctx, rhs)}")
+                  lambda: f"{at}: two-step target {_members(ctx, lhs)} vs "
+                          f"one-step {_members(ctx, rhs)}")
 
 
 def _suite_associativity(ctx: Context, rep: VerificationReport,
@@ -246,7 +253,7 @@ def _suite_associativity(ctx: Context, rep: VerificationReport,
             t2 = table_impl(ctx, w1, _image(t1, v))
         except KeyError as exc:
             rep.check("stepwise-image-defined", False,
-                      f"{at}: V has no image ({exc})")
+                      lambda: f"{at}: V has no image ({exc})")
             continue
         tuv = table_impl(ctx, None, uv)
         for x in link[uv]:
@@ -257,12 +264,13 @@ def _suite_associativity(ctx: Context, rep: VerificationReport,
                 raise
             except (KeyError, WidecatError) as exc:
                 rep.check("stepwise-image-defined", False,
-                          f"{at}, X={x.describe(ctx)}: two-step image "
-                          f"undefined ({exc})")
+                          lambda: f"{at}, X={x.describe(ctx)}: two-step image "
+                                  f"undefined ({exc})")
                 continue
             rep.check("stepwise-image-matches", lhs == rhs,
-                      f"{at}, X={x.describe(ctx)}: two-step image "
-                      f"{lhs.describe(ctx)} vs one-step {rhs.describe(ctx)}")
+                      lambda: f"{at}, X={x.describe(ctx)}: two-step image "
+                              f"{lhs.describe(ctx)} vs one-step "
+                              f"{rhs.describe(ctx)}")
 
 
 def _suite_category_axioms(ctx: Context, rep: VerificationReport,
@@ -270,35 +278,38 @@ def _suite_category_axioms(ctx: Context, rep: VerificationReport,
     cat = WideCategory(ctx)
     ms = cat.all_morphisms()
     for m in ms:
-        at = m.describe(ctx)
         rep.check("identity-right-neutral",
                   cat.compose(m, identity_of(m.source)) == m,
-                  f"{at} composed after the source identity changed")
+                  lambda: f"{m.describe(ctx)} composed after the source "
+                          "identity changed")
         rep.check("identity-left-neutral",
                   cat.compose(identity_of(m.target), m) == m,
-                  f"{at} composed into the target identity changed")
+                  lambda: f"{m.describe(ctx)} composed into the target "
+                          "identity changed")
 
     for f in ms:
         for g in cat.morphisms_from(f.target):
             gf = cat.compose(g, f)
             for h in cat.morphisms_from(g.target):
-                if cat.compose(h, gf) == cat.compose(cat.compose(h, g), f):
-                    rep.checks += 1  # passing check, no counterexample text
-                    continue
-                rep.check("composition-associative", False,
-                          f"({h.describe(ctx)}) . ({g.describe(ctx)}) . "
-                          f"({f.describe(ctx)}) depends on bracketing")
+                rep.check("composition-associative",
+                          cat.compose(h, gf)
+                          == cat.compose(cat.compose(h, g), f),
+                          lambda: f"({h.describe(ctx)}) . ({g.describe(ctx)})"
+                                  f" . ({f.describe(ctx)}) depends on "
+                                  "bracketing")
     for w1 in cat.objects:
         for w2 in cat.objects:
             hom = cat.hom_set(w1, w2)
             if not w2.members <= w1.members:
                 rep.check("no-maps-outside-subcategories", not hom,
-                          f"{len(hom)} morphisms from {_members(ctx, w1)} to "
-                          f"non-subcategory {_members(ctx, w2)}")
+                          lambda: f"{len(hom)} morphisms from "
+                                  f"{_members(ctx, w1)} to non-subcategory "
+                                  f"{_members(ctx, w2)}")
             else:
                 rep.check("maps-onto-every-subwide", bool(hom),
-                          f"no morphism from {_members(ctx, w1)} onto its "
-                          f"wide subcategory {_members(ctx, w2)}")
+                          lambda: f"no morphism from {_members(ctx, w1)} "
+                                  f"onto its wide subcategory "
+                                  f"{_members(ctx, w2)}")
 
 
 def _suite_irreducible(ctx: Context, rep: VerificationReport,
@@ -317,12 +328,12 @@ def _suite_irreducible(ctx: Context, rep: VerificationReport,
             n = len(cat.hom_set(w, w2))
             expected = 2 if w2.key in proj_targets.values() else 1
             rep.check("rank-one-morphism-count", n == expected,
-                      f"{_members(ctx, w)} -> {_members(ctx, w2)}: "
-                      f"{n} morphisms, expected {expected}")
+                      lambda: f"{_members(ctx, w)} -> {_members(ctx, w2)}: "
+                              f"{n} morphisms, expected {expected}")
         for m in cat.morphisms_from(w):
             rep.check("irreducible-iff-single-summand",
                       cat.is_irreducible(m) == (m.label.delta == 1),
-                      m.describe(ctx))
+                      lambda: m.describe(ctx))
         # distinct rigid module summands have distinct wide images
         module_keys = [k for k in candidate_keys(ctx, w) if k[0] == "m"]
         seen: dict[tuple, int] = {}
@@ -330,8 +341,9 @@ def _suite_irreducible(ctx: Context, rep: VerificationReport,
             key = wide_of(ctx, w, CObject.of((i,))).key
             if key in seen:
                 rep.check("wide-image-injective-on-modules", False,
-                          f"in {_members(ctx, w)}: {ctx.label(seen[key])} and "
-                          f"{ctx.label(i)} have the same wide image")
+                          lambda: f"in {_members(ctx, w)}: "
+                                  f"{ctx.label(seen[key])} and {ctx.label(i)}"
+                                  " have the same wide image")
             else:
                 rep.check("wide-image-injective-on-modules", True)
                 seen[key] = i
@@ -351,18 +363,20 @@ def _suite_dirrt(ctx: Context, rep: VerificationReport,
                    if all(ctx.hom_dim(p, x) == 0 for p in t.shifts)}
         key = tuple(sorted(members))
         rep.check("image-is-wide", key in wides,
-                  f"{t.describe(ctx)} maps to {key}, not a wide subcategory")
+                  lambda: f"{t.describe(ctx)} maps to {key}, not a wide "
+                          "subcategory")
         if key in images:
             rep.check("assignment-injective", False,
-                      f"{t.describe(ctx)} and {images[key].describe(ctx)} both "
-                      f"map to the wide subcategory {key}")
+                      lambda: f"{t.describe(ctx)} and "
+                              f"{images[key].describe(ctx)} both map to the "
+                              f"wide subcategory {key}")
         else:
             rep.check("assignment-injective", True)
             images[key] = t
     rep.check("assignment-onto",
               set(images) == wides and len(maximal) == len(wides),
-              f"{len(maximal)} maximal objects cover {len(set(images))} of "
-              f"{len(wides)} wide subcategories")
+              lambda: f"{len(maximal)} maximal objects cover "
+                      f"{len(set(images))} of {len(wides)} wide subcategories")
 
 
 def _suite_sequences(ctx: Context, rep: VerificationReport,
@@ -377,28 +391,31 @@ def _suite_sequences(ctx: Context, rep: VerificationReport,
             ordered = ordered_strigid_objects(ctx, w, t)
             rep.check("sequence-count-matches-ordered-objects",
                       len(seqs) == len(ordered),
-                      f"{at}, length {t}: {len(seqs)} sequences vs "
-                      f"{len(ordered)} ordered rigid objects")
+                      lambda: f"{at}, length {t}: {len(seqs)} sequences vs "
+                              f"{len(ordered)} ordered rigid objects")
             rep.check("sequence-count-function-agrees",
-                      count_signed_sequences(ctx, w, t) == len(seqs), at)
+                      count_signed_sequences(ctx, w, t) == len(seqs),
+                      lambda: at)
             for seq in seqs:
                 ordered_img = phi(ctx, w, seq)
                 back = phi_inverse(ctx, w, ordered_img)
                 rep.check("sequence-round-trip", back == seq,
-                          f"{at}: {[e.describe(ctx) for e in seq]} came back "
-                          f"as {[e.describe(ctx) for e in back]}")
+                          lambda: f"{at}: {[e.describe(ctx) for e in seq]} "
+                                  f"came back as "
+                                  f"{[e.describe(ctx) for e in back]}")
             for tpl in ordered:
                 seq = phi_inverse(ctx, w, tpl)
                 fwd = phi(ctx, w, seq)
                 rep.check("ordered-object-round-trip", fwd == tpl,
-                          f"{at}: {[e.describe(ctx) for e in tpl]} came back "
-                          f"as {[e.describe(ctx) for e in fwd]}")
+                          lambda: f"{at}: {[e.describe(ctx) for e in tpl]} "
+                                  f"came back as "
+                                  f"{[e.describe(ctx) for e in fwd]}")
     for m in cat.all_morphisms():
         chains = factorizations(cat, m)
         want = math.factorial(m.label.delta)
         rep.check("factorization-count", len(chains) == want,
-                  f"{m.describe(ctx)}: {len(chains)} factorizations "
-                  f"into irreducibles, expected {want}")
+                  lambda: f"{m.describe(ctx)}: {len(chains)} factorizations "
+                          f"into irreducibles, expected {want}")
 
 
 _SUITES = {

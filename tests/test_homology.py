@@ -5,6 +5,8 @@ from widecat.homology import (ar_translate, ar_translate_inverse, ext1_dim,
                               ext1_space, minimal_presentation,
                               realize_extension, shifted_hom_dim)
 from widecat.modules import decompose, is_isomorphic
+from widecat.textio import load_cached_context, store_cache
+from conftest import CORPUS, load_context
 
 
 def test_minimal_presentation_vertices(tri_ctx, tri_ids):
@@ -45,6 +47,31 @@ def test_translate_table(tri_ctx, tri_ids):
         assert tri_ctx.tau_inv(tri_ids[tgt]) == tri_ids[src]
     for i in ["I1", "I2", "I3"]:
         assert tri_ctx.tau_inv(tri_ids[i]) is None
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.alg")))
+def test_translate_tables_match_recomputation(tmp_path, name):
+    """Every class's tau and tau^-1 entries are the class of a freshly
+    computed translate (None when it is zero), and a cached copy of the
+    context keeps the ids, dimension vectors, labels and tables."""
+    ctx = load_context(name)
+    for i in ctx.ind_ids():
+        for table, translate in ((ctx.tau, ar_translate),
+                                 (ctx.tau_inv, ar_translate_inverse)):
+            pieces = decompose(translate(ctx.rep(i)))
+            assert len(pieces) <= 1, (name, ctx.label(i))
+            want = ctx.id_of(pieces[0]) if pieces else None
+            assert not pieces or want is not None, (name, ctx.label(i))
+            assert table(i) == want, (name, ctx.label(i), translate.__name__)
+    store_cache(str(tmp_path), ctx)
+    back = load_cached_context(ctx.alg, str(tmp_path))
+    assert back.ind_count() == ctx.ind_count()
+    assert back.projective_ids == ctx.projective_ids
+    assert back.injective_ids == ctx.injective_ids
+    for i in ctx.ind_ids():
+        assert back.id_of(ctx.rep(i)) == i
+        assert ((back.dims(i), back.label(i), back.tau(i), back.tau_inv(i))
+                == (ctx.dims(i), ctx.label(i), ctx.tau(i), ctx.tau_inv(i)))
 
 
 def test_translate_on_raw_modules(tri_ctx, tri_ids):

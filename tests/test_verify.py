@@ -5,7 +5,8 @@ import weakref
 import pytest
 
 from widecat.reduction import e_table
-from widecat.verify import SUITE_NAMES, run_suite, run_verify
+from widecat.verify import (SUITE_NAMES, VerificationReport, run_suite,
+                            run_verify)
 from conftest import load_context
 
 # Exhaustive check counts per algebra.  These are structural: they count
@@ -85,6 +86,19 @@ def test_report_shapes(a2_ctx):
 def test_selected_suites_only(a2_ctx):
     reports = run_verify(a2_ctx, suites=["composition", "sequences"])
     assert [r.suite for r in reports] == ["composition", "sequences"]
+
+
+def test_counterexample_text_is_built_only_on_failure():
+    def never() -> str:
+        raise AssertionError("text built for a passing check")
+
+    rep = VerificationReport(suite="s", algebra="a")
+    rep.check("passes", True, never)
+    rep.check("fails", False, lambda: "the counterexample")
+    rep.check("fails-without-text", False)
+    assert rep.checks == 3
+    assert [(f.check, f.counterexample) for f in rep.failures] == [
+        ("fails", "the counterexample"), ("fails-without-text", "")]
 
 
 def test_mutated_reduction_is_caught(a2_ctx):
