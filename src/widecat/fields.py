@@ -71,11 +71,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.kind == "Q" else 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -114,6 +114,7 @@ class FieldSpec:
 
 
 QQ = FieldSpec("Q")
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so shared
 
 
 def field_from_name(text: str) -> FieldSpec:

@@ -16,8 +16,10 @@ that table by `e_map` and its inverse `f_map`.  `e_map_key` works as follows:
 * then the image of the shifted part acts on the result (case II):
   modules pass through, shifted summands get the torsion-free quotient.
 
-Two memos sit on top of the table.  `f_map` reads the inverse of the table
-from `ctx.memo[("finv", w.key, obj)]`, built once per (W, object).  Cases
+Two memos sit on top of the table.  The inverse bijection F is read from
+the inverse of the table, `ctx.memo[("finv", w.key, obj)]`, built once per
+(W, object) by `f_map_keys`, which works on summand keys; `f_map` and
+`sequences.phi` both go through it.  Cases
 I(a) and II(b) apply f_U to an enumerated class X; f_U is computed in mod A
 and does not depend on W, so its class id is kept under
 `("f_U", frozenset(U), X)`.  Both store only successful results, so a
@@ -243,6 +245,11 @@ def f_map(ctx: Context, w: WideSubcategory | None, obj: CObject, y: CObject) -> 
     """The inverse bijection: summands of C(J_W(obj)) pulled back to C(W)."""
     if w is None:
         w = full_subcategory(ctx)
+    return CObject.from_keys(f_map_keys(ctx, w, obj, y.keys()))
+
+
+def f_map_keys(ctx: Context, w: WideSubcategory, obj: CObject, keys) -> list[Key]:
+    """The inverse bijection on summand keys, read from the inverse table."""
     memo_key = ("finv", w.key, obj)
     if memo_key not in ctx.memo:
         inverse: dict[Key, Key] = {}
@@ -250,10 +257,8 @@ def f_map(ctx: Context, w: WideSubcategory | None, obj: CObject, y: CObject) -> 
             inverse.setdefault(v, k)
         ctx.memo[memo_key] = inverse
     inverse = ctx.memo[memo_key]
-    keys = []
-    for k in y.keys():
+    for k in keys:
         if k not in inverse:
             raise NotInImage(
                 f"summand {k} is not a reduction image for the given object")
-        keys.append(inverse[k])
-    return CObject.from_keys(keys)
+    return [inverse[k] for k in keys]

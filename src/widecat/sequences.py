@@ -8,6 +8,14 @@ ordered support tau-rigid object of C(W) by pulling every earlier entry back
 through the inverse reduction bijections; `phi_inverse` undoes it.  The same
 machinery lists all factorizations of a category morphism into irreducible
 morphisms: they correspond exactly to the orderings of the label's summands.
+
+Both directions recurse on tuples of summand keys and are memoized per world
+W in `ctx.memo[("phi", w.key)]` and `ctx.memo[("phi_inverse", w.key)]`, each
+a dict from a key tuple of two or more summands to the result key tuple.
+Only successes are stored, so a hit stands for a check that has passed and
+an invalid input raises on every call.  The memos hold keys only, and only
+the shared copies in `ctx.memo["singles"]` (summand key -> that copy and its
+single-summand object); results are built from those shared objects.
 """
 from __future__ import annotations
 
@@ -17,8 +25,8 @@ from dataclasses import dataclass
 from .category import WideCategory, WideCatMorphism, morphism
 from .context import Context
 from .errors import NotExceptional, WidecatError
-from .reduction import e_table, f_map, wide_of
-from .taurigid import (CObject, WideSubcategory, candidate_keys,
+from .reduction import e_table, f_map_keys, wide_of
+from .taurigid import (CObject, Key, WideSubcategory, candidate_keys,
                        full_subcategory, is_support_tau_rigid, strigid_objects)
 
 
@@ -73,23 +81,36 @@ def ordered_strigid_objects(ctx: Context, w: WideSubcategory | None,
     return out
 
 
+def _canonical(ctx: Context, keys) -> tuple[Key, ...]:
+    """The shared copies of the given summand keys (see the module docstring)."""
+    singles = ctx.memo.setdefault("singles", {})
+    for k in keys:
+        if k not in singles:
+            singles[k] = (k, CObject.from_keys([k]))
+    return tuple(singles[k][0] for k in keys)
+
+
 def phi(ctx: Context, w: WideSubcategory | None, entries) -> tuple[CObject, ...]:
     """Sequence -> ordered object: pull entries back to C(W) and keep order."""
     w = _as_world(ctx, w)
     entries = tuple(entries)
     if not is_signed_tau_exceptional(ctx, w, entries):
         raise NotExceptional("input is not a signed exceptional sequence")
-    return _phi(ctx, w, entries)
+    keys = _canonical(ctx, [e.keys()[0] for e in entries])
+    return tuple(ctx.memo["singles"][k][1] for k in _phi(ctx, w, keys))
 
 
-def _phi(ctx: Context, w: WideSubcategory, entries: tuple) -> tuple[CObject, ...]:
-    """`phi` on a sequence already known to be signed exceptional."""
-    if len(entries) <= 1:
-        return entries
-    last = entries[-1]
-    inner = _phi(ctx, wide_of(ctx, w, last), entries[:-1])
-    pulled = tuple(f_map(ctx, w, last, v) for v in inner)
-    return pulled + (last,)
+def _phi(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
+         ) -> tuple[Key, ...]:
+    """`phi` on the canonical keys of a sequence known to be signed exceptional."""
+    if len(keys) <= 1:
+        return keys
+    memo = ctx.memo.setdefault(("phi", w.key), {})
+    if keys not in memo:
+        last = ctx.memo["singles"][keys[-1]][1]
+        inner = _phi(ctx, wide_of(ctx, w, last), keys[:-1])
+        memo[keys] = _canonical(ctx, f_map_keys(ctx, w, last, inner)) + keys[-1:]
+    return memo[keys]
 
 
 def phi_inverse(ctx: Context, w: WideSubcategory | None,
@@ -99,15 +120,27 @@ def phi_inverse(ctx: Context, w: WideSubcategory | None,
     ordered = tuple(ordered)
     if any(v.delta != 1 for v in ordered):
         raise NotExceptional("entries of an ordered object must be indecomposable")
-    total = CObject.from_keys([v.keys()[0] for v in ordered])
-    if total.delta != len(ordered) or not is_support_tau_rigid(ctx, w, total):
+    keys = _canonical(ctx, [v.keys()[0] for v in ordered])
+    return tuple(ctx.memo["singles"][k][1] for k in _phi_inverse(ctx, w, keys))
+
+
+def _phi_inverse(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
+                 ) -> tuple[Key, ...]:
+    """`phi_inverse` on canonical summand keys, checked at every level."""
+    memo = ctx.memo.setdefault(("phi_inverse", w.key), {})
+    if keys in memo:
+        return memo[keys]
+    total = CObject.from_keys(keys)
+    if total.delta != len(keys) or not is_support_tau_rigid(ctx, w, total):
         raise NotExceptional("summands do not form a support tau-rigid object")
-    if len(ordered) <= 1:
-        return ordered
-    last = ordered[-1]
+    if len(keys) <= 1:
+        return keys
+    last = ctx.memo["singles"][keys[-1]][1]
     table = e_table(ctx, w, last)
-    mapped = tuple(CObject.from_keys([table[v.keys()[0]]]) for v in ordered[:-1])
-    return phi_inverse(ctx, wide_of(ctx, w, last), mapped) + (last,)
+    mapped = _canonical(ctx, [table[k] for k in keys[:-1]])
+    out = _phi_inverse(ctx, wide_of(ctx, w, last), mapped) + keys[-1:]
+    memo[keys] = out
+    return out
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,12 @@ from .modules import (Module, ModuleMorphism, cokernel, hom_basis,
 Key = tuple[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CObject:
-    """A basic object of the shifted-projectives category: U + P[1]."""
+    """A basic object of the shifted-projectives category: U + P[1].
+
+    Slotted, since the memos keep many.  `of` sorts and de-duplicates its
+    input, so of the constructor's checks it repeats only the overlap one."""
 
     mods: tuple[int, ...]
     shifts: tuple[int, ...]
@@ -44,12 +47,16 @@ class CObject:
             raise NotSupportTauRigid("module summands must be distinct (basic object)")
         if list(self.shifts) != sorted(set(self.shifts)):
             raise NotSupportTauRigid("shifted summands must be distinct (basic object)")
-        if set(self.mods) & set(self.shifts):
-            raise NotSupportTauRigid("a class appears both plain and shifted")
+        _check_disjoint(self.mods, self.shifts)
 
     @staticmethod
     def of(mods=(), shifts=()) -> "CObject":
-        return CObject(tuple(sorted(set(mods))), tuple(sorted(set(shifts))))
+        mods, shifts = tuple(sorted(set(mods))), tuple(sorted(set(shifts)))
+        _check_disjoint(mods, shifts)
+        obj = object.__new__(CObject)
+        object.__setattr__(obj, "mods", mods)
+        object.__setattr__(obj, "shifts", shifts)
+        return obj
 
     @staticmethod
     def from_keys(keys) -> "CObject":
@@ -80,6 +87,11 @@ class CObject:
         return "+".join(parts) if parts else "0"
 
 
+def _check_disjoint(mods, shifts) -> None:
+    if not set(mods).isdisjoint(shifts):
+        raise NotSupportTauRigid("a class appears both plain and shifted")
+
+
 ZERO_COBJECT = CObject((), ())
 
 
@@ -102,7 +114,9 @@ class WideSubcategory:
 
 
 def full_subcategory(ctx: Context) -> WideSubcategory:
-    return WideSubcategory(frozenset(ctx.ind_ids()))
+    if "full" not in ctx.memo:
+        ctx.memo["full"] = WideSubcategory(frozenset(ctx.ind_ids()))
+    return ctx.memo["full"]
 
 
 # -- torsion machinery ----------------------------------------------------------

@@ -17,7 +17,8 @@ for each pair.
 The reduction-table implementation used by the sweeps can be swapped out
 (`table_impl`), which lets the test suite plant a deliberately corrupted
 reduction and confirm that the suites catch it.  A summand missing from a
-swapped-in table is reported as a failure, never raised.
+swapped-in table, or an image that is not a valid object of the reduced
+world, is reported as a failure, never raised.
 """
 from __future__ import annotations
 
@@ -229,11 +230,13 @@ def _suite_composition(ctx: Context, rep: VerificationReport,
         at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
         try:
             ev = _image(table_impl(ctx, None, u), v)
-        except KeyError as exc:
+            lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
+        except BudgetExceeded:
+            raise
+        except (KeyError, WidecatError) as exc:
             rep.check("two-step-target-matches", False,
                       lambda: f"{at}: V has no image ({exc})")
             continue
-        lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
         rhs = wide_of(ctx, None, uv)
         rep.check("two-step-target-matches",
                   lhs.members == rhs.members,
@@ -251,7 +254,9 @@ def _suite_associativity(ctx: Context, rep: VerificationReport,
         at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
         try:
             t2 = table_impl(ctx, w1, _image(t1, v))
-        except KeyError as exc:
+        except BudgetExceeded:
+            raise
+        except (KeyError, WidecatError) as exc:
             rep.check("stepwise-image-defined", False,
                       lambda: f"{at}: V has no image ({exc})")
             continue

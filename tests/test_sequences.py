@@ -4,13 +4,18 @@ import math
 
 import pytest
 
-from widecat.category import WideCategory, identity_of, morphism
+from widecat.category import (WideCategory, enumerate_wide_subcategories,
+                              identity_of, morphism)
 from widecat.errors import NotExceptional
+from widecat.reduction import e_table, wide_of
 from widecat.sequences import (count_signed_sequences,
                                enumerate_signed_sequences, factorizations,
                                is_signed_tau_exceptional,
                                ordered_strigid_objects, phi, phi_inverse)
-from widecat.taurigid import CObject, full_subcategory, strigid_objects
+from widecat.taurigid import (CObject, full_subcategory, strigid_objects,
+                              wide_rank)
+from widecat.verify import run_verify
+from conftest import load_context
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +143,58 @@ def test_sequences_relative_to_a_smaller_world(tri_ctx, tri_ids):
     # non-projective member once
     assert len(seqs) == 5
     assert count_signed_sequences(tri_ctx, w, 1) == 5
+
+
+def _reference_phi_inverse(ctx, w, ordered):
+    """phi_inverse from its definition: reduce the earlier summands by the
+    last one through its table, then repeat inside the reduced world."""
+    keys = [v.keys()[0] for v in ordered]
+    out = []
+    while keys:
+        last = CObject.from_keys(keys[-1:])
+        table = e_table(ctx, w, last)
+        keys = [table[k] for k in keys[:-1]]
+        w = wide_of(ctx, w, last)
+        out.insert(0, last)
+    return tuple(out)
+
+
+def _ordered_objects(ctx, w):
+    """Every ordered support tau-rigid object of W with two or more summands."""
+    return [tpl for t in range(2, wide_rank(ctx, w) + 1)
+            for tpl in ordered_strigid_objects(ctx, w, t)]
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "preproj_a2.alg"])
+def test_memoized_phi_inverse_matches_the_definition(name):
+    """On a fresh context, so that the first call fills the memo and the
+    second reads it back."""
+    ctx = load_context(name)
+    checked = 0
+    for w in enumerate_wide_subcategories(ctx):
+        for tpl in _ordered_objects(ctx, w):
+            want = _reference_phi_inverse(ctx, w, tpl)
+            assert phi_inverse(ctx, w, tpl) == want
+            assert phi_inverse(ctx, w, tpl) == want
+            assert phi(ctx, w, want) == tpl
+            checked += 1
+    assert checked > 0
+
+
+def test_phi_memos_stay_lean():
+    """After every suite on A4, each world's phi and phi_inverse memos hold
+    at most one entry per ordered object (or sequence, as many) of two or
+    more summands, made of the shared canonical summand keys, not copies."""
+    ctx = load_context("a4.alg")
+    assert all(r.ok for r in run_verify(ctx))
+    singles = ctx.memo["singles"]
+    memos = 0
+    for w in enumerate_wide_subcategories(ctx):
+        bound = len(_ordered_objects(ctx, w))
+        for kind in ("phi", "phi_inverse"):
+            memo = ctx.memo.get((kind, w.key), {})
+            assert len(memo) <= bound
+            for keys, value in memo.items():
+                assert all(k is singles[k][0] for k in keys + value)
+            memos += bool(memo)
+    assert memos > 0

@@ -72,6 +72,19 @@ def test_support_rigidity_oracles(tri_ctx, tri_ids):
         CObject((P3,), (P3,))
 
 
+def test_cobject_of_normalises_and_keeps_the_overlap_check():
+    """`of` skips the constructor's checks but builds the same object."""
+    built = CObject.of((3, 1, 3), (2,))
+    assert built == CObject((1, 3), (2,))
+    assert hash(built) == hash(CObject((1, 3), (2,)))
+    assert CObject.from_keys([("s", 2), ("m", 3), ("m", 1)]) == built
+    with pytest.raises(NotSupportTauRigid):
+        CObject.of((1,), (1,))
+    with pytest.raises(NotSupportTauRigid):
+        CObject((3, 1), ())
+    assert not hasattr(built, "__dict__")
+
+
 def test_rigidity_is_not_the_brick_condition(tri_ctx, tri_ids):
     """(1,1,1) with simple top is a brick but not rigid; (1,2,1) is the
     converse: rigid with a two-dimensional endomorphism ring."""
