@@ -18,7 +18,8 @@ from . import linalg
 from .errors import InjectiveInput, WidecatError
 from .homology import (ar_translate_inverse, ext1_space, factor_through_inclusion,
                        minimal_presentation, realize_extension)
-from .modules import Module, ModuleMorphism, hom_basis, local_radical_basis
+from .modules import (Module, ModuleMorphism, hom_basis, linear_combination,
+                      local_radical_basis)
 
 
 @dataclass
@@ -39,11 +40,7 @@ def _lift_endo_to_cover(pres, phi: ModuleMorphism) -> ModuleMorphism:
     sol = linalg.solve(fd, linalg.transpose(cols), target)
     if sol is None:
         raise WidecatError("projective lift failed (bug)")
-    out = None
-    for c, b in zip(sol, basis):
-        term = b.scale(c)
-        out = term if out is None else out.add(term)
-    return out
+    return linear_combination(sol, basis, pres.cplx.p0, pres.cplx.p0)
 
 
 def _quotient_coords(fd, sub_rows: list[list], rep_vecs: list[list], v: list) -> list:
@@ -91,10 +88,7 @@ def almost_split_sequence(m: Module) -> AlmostSplitSequence:
         raise WidecatError(
             f"almost split class is not unique (socle dimension {len(soc)}); "
             "endomorphism rings are not split over the base field")
-    h = None
-    for c, rep in zip(soc[0], ext.reps):
-        term = rep.scale(c)
-        h = term if h is None else h.add(term)
+    h = linear_combination(soc[0], ext.reps, pres.omega, m)
     e, incl, proj = realize_extension(ext, h)
     # the class h is a nonzero element of Ext^1, so the sequence cannot split
     if not (incl.is_injective() and proj.is_surjective()

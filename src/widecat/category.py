@@ -52,25 +52,19 @@ def enumerate_wide_subcategories(ctx: Context) -> list[WideSubcategory]:
     Sorted by descending rank (member count breaking ties by key) so the
     whole module category comes first and the zero subcategory last.
     """
-    if "wides" in ctx.memo:
-        return list(ctx.memo["wides"])
+    return list(ctx.cached("wides", _wides_by_rank, ctx))
+
+
+def _wides_by_rank(ctx: Context) -> tuple[WideSubcategory, ...]:
     full = full_subcategory(ctx)
     seen = {wide_of(ctx, full, u) for u in strigid_objects(ctx, full)}
-    out = sorted(seen, key=lambda w: (-len(w.key), w.key))
-    ctx.memo["wides"] = tuple(out)
-    return out
+    return tuple(sorted(seen, key=lambda w: (-len(w.key), w.key)))
 
 
 def _hom_sets(ctx: Context, drop_zero_object: bool
               ) -> dict[tuple, dict[tuple, tuple[WideCatMorphism, ...]]]:
-    """source key -> target key -> morphisms, both levels in object order.
-
-    Memoized per context; it holds no reference to the context, so the
-    category built on it can be dropped without keeping the context alive.
-    """
-    memo_key = ("homs", drop_zero_object)
-    if memo_key in ctx.memo:
-        return ctx.memo[memo_key]
+    """source key -> target key -> morphisms, both levels in object order;
+    kept per context by `Context.cached` (see `WideCategory`)."""
     objects = enumerate_wide_subcategories(ctx)
     index = {w.key: k for k, w in enumerate(objects)}
     homs = {}
@@ -85,7 +79,6 @@ def _hom_sets(ctx: Context, drop_zero_object: bool
             by_target.setdefault(m.target.key, []).append(m)
         homs[w.key] = {t: tuple(by_target[t])
                        for t in sorted(by_target, key=index.__getitem__)}
-    ctx.memo[memo_key] = homs
     return homs
 
 
@@ -99,7 +92,8 @@ class WideCategory:
                         if w.members or not drop_zero_object]
         self.rank = {w.key: wide_rank(ctx, w) for w in self.objects}
         self._index = {w.key: k for k, w in enumerate(self.objects)}
-        self._homs = _hom_sets(ctx, drop_zero_object)
+        self._homs = ctx.cached(("homs", drop_zero_object), _hom_sets, ctx,
+                                drop_zero_object)
         self._compose_memo: dict[tuple, WideCatMorphism] = {}
 
     def object_index(self, w: WideSubcategory) -> int:

@@ -43,7 +43,7 @@ class Context:
         self._tau_inv: dict[int, int | None] = {}
         self._gen: dict[frozenset, frozenset] = {}
         self._labels: dict[int, str] = {}
-        self.memo: dict = {}  # cross-module cache (reductions, tables)
+        self.memo: dict = {}  # derived objects; see `cached`
         if snapshot is None:
             self._enumerate()
             self._fill_labels()
@@ -189,6 +189,23 @@ class Context:
 
     def is_injective(self, i: int) -> bool:
         return i in self.injective_ids
+
+    def cached(self, key, compute, *args):
+        """`memo[key]`, or `compute(*args)` stored there on a miss.
+
+        The one memo policy: one entry per derived object, keyed by its kind
+        and what it is derived from.  The kinds: full, strigid, extproj
+        (taurigid); wide_of, relpres, f_U, etable, finv (reduction); wides,
+        homs (category); link (verify); phi, phi_inverse, singles (sequences).
+        Only successes are stored, so a failing input raises on every call;
+        the last three are dicts that their module grows by the same rule.
+        No other value changes once stored, and none refers to the context.
+        Pass the function and its arguments, not a closure, to keep hits cheap.
+        """
+        if key in self.memo:
+            return self.memo[key]
+        out = self.memo[key] = compute(*args)
+        return out
 
     # -- generated subcategories -------------------------------------------
 

@@ -21,8 +21,8 @@ from . import linalg
 from .algebra import Algebra
 from .modules import (Module, ModuleMorphism, cokernel, direct_sum,
                       hom_basis, injective_envelope, injective_sum, kernel,
-                      projective_cover, projective_sum, zero_module,
-                      zero_morphism)
+                      linear_combination, projective_cover, projective_sum,
+                      zero_module, zero_morphism)
 
 
 @dataclass
@@ -44,31 +44,16 @@ def shifted_complex(q: Module) -> TwoTermComplex:
     return TwoTermComplex(q, z, zero_morphism(q, z))
 
 
-def _block_diag_morphism(fs: list[ModuleMorphism], src: Module, tgt: Module) -> ModuleMorphism:
-    alg = src.alg
-    fd = alg.field
-    mats = {}
-    for v in range(alg.n):
-        big = linalg.zeros(fd, tgt.dims[v], src.dims[v])
-        r0 = c0 = 0
-        for f in fs:
-            br, bc = f.target.dims[v], f.source.dims[v]
-            for i in range(br):
-                big[r0 + i][c0:c0 + bc] = f.mats[v][i][:]
-            r0 += br
-            c0 += bc
-        mats[v] = big
-    return ModuleMorphism(src, tgt, mats)
-
-
 def complex_direct_sum(cs: list[TwoTermComplex]) -> TwoTermComplex:
     if not cs:
         raise ValueError("empty complex sum")
     alg = cs[0].alg
-    p1 = direct_sum([c.p1 for c in cs]) if cs else zero_module(alg)
+    p1 = direct_sum([c.p1 for c in cs])
     p0 = direct_sum([c.p0 for c in cs])
-    d = _block_diag_morphism([c.d for c in cs], p1, p0)
-    return TwoTermComplex(p1, p0, d)
+    d = {v: linalg.block_diag(alg.field, [c.d.mats[v] for c in cs],
+                              [(c.p0.dims[v], c.p1.dims[v]) for c in cs])
+         for v in range(alg.n)}
+    return TwoTermComplex(p1, p0, ModuleMorphism(p1, p0, d))
 
 
 def factor_through_inclusion(incl: ModuleMorphism, g: ModuleMorphism) -> ModuleMorphism:
@@ -369,21 +354,9 @@ def chain_maps_mod_homotopy(c: TwoTermComplex, d: TwoTermComplex
         coeffs = [row[:] for row in linalg.identity(fd, len(h1) + len(h0))]
     else:
         coeffs = linalg.nullspace(fd, linalg.transpose(cols))
-    chain_pairs = []
-    for vec in coeffs:
-        f1 = None
-        for c_, g in zip(vec[:len(h1)], h1):
-            term = g.scale(c_)
-            f1 = term if f1 is None else f1.add(term)
-        if f1 is None:
-            f1 = zero_morphism(c.p1, d.p1)
-        f0 = None
-        for c_, g in zip(vec[len(h1):], h0):
-            term = g.scale(c_)
-            f0 = term if f0 is None else f0.add(term)
-        if f0 is None:
-            f0 = zero_morphism(c.p0, d.p0)
-        chain_pairs.append((f1, f0))
+    chain_pairs = [(linear_combination(vec[:len(h1)], h1, c.p1, d.p1),
+                    linear_combination(vec[len(h1):], h0, c.p0, d.p0))
+                   for vec in coeffs]
     # homotopies: pairs (s . c.d, d.d . s)
     homotopy_vecs = []
     for s in hom_basis(c.p0, d.p1):

@@ -96,15 +96,15 @@ def vstack(blocks: list[list[list]]) -> list[list]:
     return out
 
 
-def block_diag(field: FieldSpec, blocks: list[list[list]]) -> list[list]:
-    total_r = sum(len(b) for b in blocks)
-    total_c = sum(shape(b)[1] for b in blocks)
-    out = zeros(field, total_r, total_c)
+def block_diag(field: FieldSpec, blocks: list[list[list]],
+               shapes: list[tuple[int, int]]) -> list[list]:
+    """The blocks along the diagonal; shapes[k] is (rows, cols) of blocks[k],
+    given because a 0-row block cannot carry its column count."""
+    out = zeros(field, sum(r for r, _ in shapes), sum(c for _, c in shapes))
     r0 = c0 = 0
-    for b in blocks:
-        br, bc = shape(b)
+    for b, (br, bc) in zip(blocks, shapes):
         for i in range(br):
-            out[r0 + i][c0:c0 + bc] = b[i][:]
+            out[r0 + i][c0:c0 + bc] = b[i]
         r0 += br
         c0 += bc
     return out

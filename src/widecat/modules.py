@@ -8,20 +8,16 @@ linear algebra from `linalg`.
 Every subrepresentation (kernel, image, radical, trace, socle) is built by
 `submodule` from a per-vertex basis of its subspaces.
 
-Modules are treated as immutable after construction.  Each instance carries
-a serial number so caches can key on identity without hashing matrices.
+Modules are treated as immutable after construction.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from . import linalg
 from .algebra import Algebra
 from .errors import AlgebraMismatch, DecompositionFailure
-
-_serial_counter = itertools.count()
 
 
 def _mm(field, a, b, r: int, k: int, c: int):
@@ -49,7 +45,6 @@ class Module:
             if m is None or r == 0 or c == 0:
                 m = linalg.zeros(alg.field, r, c)
             self.mats[ai] = m
-        self.serial = next(_serial_counter)
         if check:
             self._validate()
 
@@ -109,9 +104,8 @@ class ModuleMorphism:
 
     def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """self o other (apply `other` first)."""
-        if other.target is not self.source and other.target.serial != self.source.serial:
-            if other.target.dims != self.source.dims:
-                raise AlgebraMismatch("composition endpoint mismatch")
+        if other.target is not self.source and other.target.dims != self.source.dims:
+            raise AlgebraMismatch("composition endpoint mismatch")
         alg = self.source.alg
         mats = {v: _mm(alg.field, self.mats[v], other.mats[v],
                        self.target.dims[v], self.source.dims[v], other.source.dims[v])
@@ -174,6 +168,16 @@ def zero_morphism(source: Module, target: Module) -> ModuleMorphism:
                            for v in range(source.alg.n)})
 
 
+def linear_combination(coeffs, maps: list[ModuleMorphism], source: Module,
+                       target: Module) -> ModuleMorphism:
+    """Sum of c * f over coeffs and maps; the zero map source -> target if empty."""
+    out = None
+    for c, f in zip(coeffs, maps):
+        term = f.scale(c)
+        out = term if out is None else out.add(term)
+    return zero_morphism(source, target) if out is None else out
+
+
 def morphism_from_flat(source: Module, target: Module, flat: list) -> ModuleMorphism:
     mats = {}
     pos = 0
@@ -204,17 +208,9 @@ def direct_sum(mods: list[Module]) -> Module:
         if m.alg is not alg:
             raise AlgebraMismatch("direct sum across algebras")
     dims = [sum(m.dims[v] for m in mods) for v in range(alg.n)]
-    mats = {}
-    for ai, a in enumerate(alg.arrows):
-        big = linalg.zeros(alg.field, dims[a.target], dims[a.source])
-        r0 = c0 = 0
-        for m in mods:
-            br, bc = m.dims[a.target], m.dims[a.source]
-            for i in range(br):
-                big[r0 + i][c0:c0 + bc] = m.mats[ai][i][:]
-            r0 += br
-            c0 += bc
-        mats[ai] = big
+    mats = {ai: linalg.block_diag(alg.field, [m.mats[ai] for m in mods],
+                                  [(m.dims[a.target], m.dims[a.source]) for m in mods])
+            for ai, a in enumerate(alg.arrows)}
     return Module(alg, dims, mats)
 
 
@@ -589,7 +585,8 @@ def injective_envelope(m: Module) -> tuple[Module, list[int], ModuleMorphism, li
 # -- minimal polynomial and eigenvalues --------------------------------------
 
 def _total_matrix(f: ModuleMorphism) -> list[list]:
-    return linalg.block_diag(f.source.alg.field, [f.mats[v] for v in range(f.source.alg.n)])
+    return linalg.block_diag(f.source.alg.field, list(f.mats.values()),
+                             list(zip(f.target.dims, f.source.dims)))
 
 
 def minimal_polynomial(field, a: list[list]) -> list:

@@ -16,14 +16,12 @@ that table by `e_map` and its inverse `f_map`.  `e_map_key` works as follows:
 * then the image of the shifted part acts on the result (case II):
   modules pass through, shifted summands get the torsion-free quotient.
 
-Two memos sit on top of the table.  The inverse bijection F is read from
-the inverse of the table, `ctx.memo[("finv", w.key, obj)]`, built once per
-(W, object) by `f_map_keys`, which works on summand keys; `f_map` and
-`sequences.phi` both go through it.  Cases
-I(a) and II(b) apply f_U to an enumerated class X; f_U is computed in mod A
-and does not depend on W, so its class id is kept under
-`("f_U", frozenset(U), X)`.  Both store only successful results, so a
-failing case raises on every call.
+Two memos sit on top of the table, both kept by `Context.cached`.  The
+inverse bijection F is read from the inverse of the table, `("finv", w.key,
+obj)`, built once per (W, object) by `f_map_keys`, which works on summand
+keys; `f_map` and `sequences.phi` both go through it.  Cases I(a) and II(b)
+apply f_U to an enumerated class X; f_U is computed in mod A and does not
+depend on W, so its class id is kept under `("f_U", frozenset(U), X)`.
 
 The cone route tolerates non-minimal approximations: a surplus summand that
 factors through the rest contributes only add(U) pieces to the degree -1
@@ -55,9 +53,10 @@ def wide_of(ctx: Context, w: WideSubcategory | None, obj: CObject) -> WideSubcat
     """The wide subcategory of W attached to a support tau-rigid object."""
     if w is None:
         w = full_subcategory(ctx)
-    memo_key = ("wide_of", w.key, obj)
-    if memo_key in ctx.memo:
-        return ctx.memo[memo_key]
+    return ctx.cached(("wide_of", w.key, obj), _wide_of, ctx, w, obj)
+
+
+def _wide_of(ctx: Context, w: WideSubcategory, obj: CObject) -> WideSubcategory:
     if not is_support_tau_rigid(ctx, w, obj):
         raise NotSupportTauRigid(
             f"object {obj} is not support tau-rigid in the given world")
@@ -71,24 +70,21 @@ def wide_of(ctx: Context, w: WideSubcategory | None, obj: CObject) -> WideSubcat
         if any(ctx.hom_dim(p, x) for p in obj.shifts):
             continue
         members.append(x)
-    out = WideSubcategory(frozenset(members))
-    ctx.memo[memo_key] = out
-    return out
+    return WideSubcategory(frozenset(members))
 
 
 def rel_presentation(ctx: Context, w: WideSubcategory, i: int) -> TwoTermComplex:
     """Presentation of a member of W by the Ext-projectives of W (cached)."""
-    memo_key = ("relpres", w.key, i)
-    if memo_key in ctx.memo:
-        return ctx.memo[memo_key]
+    return ctx.cached(("relpres", w.key, i), _rel_presentation, ctx, w, i)
+
+
+def _rel_presentation(ctx: Context, w: WideSubcategory, i: int) -> TwoTermComplex:
     pw = ext_projective_ids(ctx, w)
     cover0, _ = cover_in(ctx, pw, ctx.rep(i))
     om, om_incl = kernel(cover0)
     cover1, _ = cover_in(ctx, pw, om)
     d = om_incl.compose(cover1)
-    out = TwoTermComplex(cover1.source, cover0.source, d)
-    ctx.memo[memo_key] = out
-    return out
+    return TwoTermComplex(cover1.source, cover0.source, d)
 
 
 def _strip_and_register(ctx: Context, u_ids, m: Module, what: str) -> int:
@@ -104,10 +100,8 @@ def _strip_and_register(ctx: Context, u_ids, m: Module, what: str) -> int:
 
 def _f_class(ctx: Context, u_ids, x: int, what: str) -> int:
     """f_U of the enumerated class x, as a class id (memoized on ids)."""
-    memo_key = ("f_U", frozenset(u_ids), x)
-    if memo_key not in ctx.memo:
-        ctx.memo[memo_key] = _strip_and_register(ctx, u_ids, ctx.rep(x), what)
-    return ctx.memo[memo_key]
+    return ctx.cached(("f_U", frozenset(u_ids), x), _strip_and_register,
+                      ctx, u_ids, ctx.rep(x), what)
 
 
 def _cone_reduction(ctx: Context, w: WideSubcategory, u_ids, target: TwoTermComplex,
@@ -226,9 +220,10 @@ def e_table(ctx: Context, w: WideSubcategory | None, obj: CObject) -> dict[Key, 
     """The full value table of the reduction on compatible single summands."""
     if w is None:
         w = full_subcategory(ctx)
-    memo_key = ("etable", w.key, obj)
-    if memo_key in ctx.memo:
-        return ctx.memo[memo_key]
+    return ctx.cached(("etable", w.key, obj), _e_table, ctx, w, obj)
+
+
+def _e_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
     table: dict[Key, Key] = {}
     obj_keys = set(obj.keys())
     for k in candidate_keys(ctx, w):
@@ -237,7 +232,6 @@ def e_table(ctx: Context, w: WideSubcategory | None, obj: CObject) -> dict[Key, 
         if not all(keys_compatible(ctx, w, k, o) for o in obj.keys()):
             continue
         table[k] = e_map_key(ctx, w, obj, k)
-    ctx.memo[memo_key] = table
     return table
 
 
@@ -250,15 +244,16 @@ def f_map(ctx: Context, w: WideSubcategory | None, obj: CObject, y: CObject) -> 
 
 def f_map_keys(ctx: Context, w: WideSubcategory, obj: CObject, keys) -> list[Key]:
     """The inverse bijection on summand keys, read from the inverse table."""
-    memo_key = ("finv", w.key, obj)
-    if memo_key not in ctx.memo:
-        inverse: dict[Key, Key] = {}
-        for k, v in e_table(ctx, w, obj).items():
-            inverse.setdefault(v, k)
-        ctx.memo[memo_key] = inverse
-    inverse = ctx.memo[memo_key]
+    inverse = ctx.cached(("finv", w.key, obj), _inverse_table, ctx, w, obj)
     for k in keys:
         if k not in inverse:
             raise NotInImage(
                 f"summand {k} is not a reduction image for the given object")
     return [inverse[k] for k in keys]
+
+
+def _inverse_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
+    inverse: dict[Key, Key] = {}
+    for k, v in e_table(ctx, w, obj).items():
+        inverse.setdefault(v, k)
+    return inverse

@@ -9,12 +9,12 @@ through the inverse reduction bijections; `phi_inverse` undoes it.  The same
 machinery lists all factorizations of a category morphism into irreducible
 morphisms: they correspond exactly to the orderings of the label's summands.
 
-Both directions recurse on tuples of summand keys and are memoized per world
-W in `ctx.memo[("phi", w.key)]` and `ctx.memo[("phi_inverse", w.key)]`, each
-a dict from a key tuple of two or more summands to the result key tuple.
-Only successes are stored, so a hit stands for a check that has passed and
-an invalid input raises on every call.  The memos hold keys only, and only
-the shared copies in `ctx.memo["singles"]` (summand key -> that copy and its
+Both directions recurse on tuples of summand keys, check their input level
+by level on a memo miss, and are memoized per world W in the dicts kept by
+`Context.cached` under `("phi", w.key)` and `("phi_inverse", w.key)`, each
+from a key tuple of two or more summands to the result key tuple; a hit
+stands for a check that has passed.  The memos hold keys only, and only the
+shared copies in `"singles"` (summand key -> that copy and its
 single-summand object); results are built from those shared objects.
 """
 from __future__ import annotations
@@ -64,7 +64,13 @@ def enumerate_signed_sequences(ctx: Context, w: WideSubcategory | None,
 
 def count_signed_sequences(ctx: Context, w: WideSubcategory | None,
                            length: int) -> int:
-    return len(enumerate_signed_sequences(ctx, w, length))
+    """The number of signed sequences, counted without listing them."""
+    w = _as_world(ctx, w)
+    if length == 0:
+        return 1
+    return sum(count_signed_sequences(
+        ctx, wide_of(ctx, w, CObject.from_keys([k])), length - 1)
+        for k in candidate_keys(ctx, w))
 
 
 def ordered_strigid_objects(ctx: Context, w: WideSubcategory | None,
@@ -83,7 +89,7 @@ def ordered_strigid_objects(ctx: Context, w: WideSubcategory | None,
 
 def _canonical(ctx: Context, keys) -> tuple[Key, ...]:
     """The shared copies of the given summand keys (see the module docstring)."""
-    singles = ctx.memo.setdefault("singles", {})
+    singles = ctx.cached("singles", dict)
     for k in keys:
         if k not in singles:
             singles[k] = (k, CObject.from_keys([k]))
@@ -94,23 +100,29 @@ def phi(ctx: Context, w: WideSubcategory | None, entries) -> tuple[CObject, ...]
     """Sequence -> ordered object: pull entries back to C(W) and keep order."""
     w = _as_world(ctx, w)
     entries = tuple(entries)
-    if not is_signed_tau_exceptional(ctx, w, entries):
-        raise NotExceptional("input is not a signed exceptional sequence")
+    if any(e.delta != 1 for e in entries):
+        raise NotExceptional("entries of a signed sequence must be indecomposable")
     keys = _canonical(ctx, [e.keys()[0] for e in entries])
-    return tuple(ctx.memo["singles"][k][1] for k in _phi(ctx, w, keys))
+    singles = ctx.cached("singles", dict)
+    return tuple(singles[k][1] for k in _phi(ctx, w, keys))
 
 
 def _phi(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
          ) -> tuple[Key, ...]:
-    """`phi` on the canonical keys of a sequence known to be signed exceptional."""
-    if len(keys) <= 1:
+    """`phi` on canonical summand keys, checked at every level it computes."""
+    if not keys:
         return keys
-    memo = ctx.memo.setdefault(("phi", w.key), {})
-    if keys not in memo:
-        last = ctx.memo["singles"][keys[-1]][1]
-        inner = _phi(ctx, wide_of(ctx, w, last), keys[:-1])
-        memo[keys] = _canonical(ctx, f_map_keys(ctx, w, last, inner)) + keys[-1:]
-    return memo[keys]
+    memo = ctx.cached(("phi", w.key), dict)
+    if keys in memo:
+        return memo[keys]
+    last = ctx.cached("singles", dict)[keys[-1]][1]
+    if not is_support_tau_rigid(ctx, w, last):
+        raise NotExceptional("input is not a signed exceptional sequence")
+    if len(keys) == 1:
+        return keys
+    inner = _phi(ctx, wide_of(ctx, w, last), keys[:-1])
+    out = memo[keys] = _canonical(ctx, f_map_keys(ctx, w, last, inner)) + keys[-1:]
+    return out
 
 
 def phi_inverse(ctx: Context, w: WideSubcategory | None,
@@ -121,13 +133,14 @@ def phi_inverse(ctx: Context, w: WideSubcategory | None,
     if any(v.delta != 1 for v in ordered):
         raise NotExceptional("entries of an ordered object must be indecomposable")
     keys = _canonical(ctx, [v.keys()[0] for v in ordered])
-    return tuple(ctx.memo["singles"][k][1] for k in _phi_inverse(ctx, w, keys))
+    singles = ctx.cached("singles", dict)
+    return tuple(singles[k][1] for k in _phi_inverse(ctx, w, keys))
 
 
 def _phi_inverse(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
                  ) -> tuple[Key, ...]:
     """`phi_inverse` on canonical summand keys, checked at every level."""
-    memo = ctx.memo.setdefault(("phi_inverse", w.key), {})
+    memo = ctx.cached(("phi_inverse", w.key), dict)
     if keys in memo:
         return memo[keys]
     total = CObject.from_keys(keys)
@@ -135,7 +148,7 @@ def _phi_inverse(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
         raise NotExceptional("summands do not form a support tau-rigid object")
     if len(keys) <= 1:
         return keys
-    last = ctx.memo["singles"][keys[-1]][1]
+    last = ctx.cached("singles", dict)[keys[-1]][1]
     table = e_table(ctx, w, last)
     mapped = _canonical(ctx, [table[k] for k in keys[:-1]])
     out = _phi_inverse(ctx, wide_of(ctx, w, last), mapped) + keys[-1:]

@@ -13,7 +13,7 @@ module part is a basic tau_W-rigid module in W, the shifted part a basic
 Ext-projective of W with no maps into the module part, and the whole thing
 is determined by pairwise conditions — so enumeration is clique search in
 the compatibility graph.  That search is the only place rigidity is proved:
-`is_support_tau_rigid` is membership in the (memoized) set of cliques.
+`is_support_tau_rigid` is membership in the (memoized) cliques of W.
 """
 from __future__ import annotations
 
@@ -114,9 +114,11 @@ class WideSubcategory:
 
 
 def full_subcategory(ctx: Context) -> WideSubcategory:
-    if "full" not in ctx.memo:
-        ctx.memo["full"] = WideSubcategory(frozenset(ctx.ind_ids()))
-    return ctx.memo["full"]
+    return ctx.cached("full", _whole_module_category, ctx)
+
+
+def _whole_module_category(ctx: Context) -> WideSubcategory:
+    return WideSubcategory(frozenset(ctx.ind_ids()))
 
 
 # -- torsion machinery ----------------------------------------------------------
@@ -144,10 +146,6 @@ def torsion_free_quotient(ctx: Context, u_ids, x: Module
     return cokernel(incl)
 
 
-def in_gen(ctx: Context, u_ids: frozenset[int], x_id: int) -> bool:
-    return x_id in ctx.gen_members(frozenset(u_ids))
-
-
 # -- rigidity predicates ---------------------------------------------------------
 
 def hom_tau_vanishes(ctx: Context, w: WideSubcategory | None, i: int, j: int) -> bool:
@@ -161,12 +159,11 @@ def hom_tau_vanishes(ctx: Context, w: WideSubcategory | None, i: int, j: int) ->
 
 def ext_projective_ids(ctx: Context, w: WideSubcategory) -> list[int]:
     """Ext-projectives of W (extensions in W are absolute, so Ext^1 is too)."""
-    memo_key = ("extproj", w.key)
-    if memo_key in ctx.memo:
-        return list(ctx.memo[memo_key])
-    out = [i for i in w.key if all(ctx.ext1(i, j) == 0 for j in w.key)]
-    ctx.memo[memo_key] = tuple(out)
-    return out
+    return list(ctx.cached(("extproj", w.key), _ext_projectives, ctx, w))
+
+
+def _ext_projectives(ctx: Context, w: WideSubcategory) -> tuple[int, ...]:
+    return tuple(i for i in w.key if all(ctx.ext1(i, j) == 0 for j in w.key))
 
 
 def keys_compatible(ctx: Context, w: WideSubcategory | None, a: Key, b: Key) -> bool:
@@ -197,10 +194,7 @@ def is_support_tau_rigid(ctx: Context, w: WideSubcategory | None, obj: CObject) 
     """Membership in the clique set of C(W) (see `strigid_objects`)."""
     if w is None:
         w = full_subcategory(ctx)
-    memo_key = ("strigid_set", w.key)
-    if memo_key not in ctx.memo:
-        ctx.memo[memo_key] = frozenset(strigid_objects(ctx, w))
-    return obj in ctx.memo[memo_key]
+    return obj in strigid_positions(ctx, w)
 
 
 def strigid_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:
@@ -210,9 +204,15 @@ def strigid_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:
     compatibility (including each key with itself) is exactly support
     tau-rigidity of the direct sum.
     """
-    memo_key = ("strigid", w.key)
-    if memo_key in ctx.memo:
-        return list(ctx.memo[memo_key])
+    return list(strigid_positions(ctx, w))
+
+
+def strigid_positions(ctx: Context, w: WideSubcategory) -> dict[CObject, int]:
+    """Each object of `strigid_objects`, in order, mapped to its position."""
+    return ctx.cached(("strigid", w.key), _enumerate_cliques, ctx, w)
+
+
+def _enumerate_cliques(ctx: Context, w: WideSubcategory) -> dict[CObject, int]:
     keys = candidate_keys(ctx, w)
     adj: dict[Key, set[Key]] = {k: set() for k in keys}
     for x in range(len(keys)):
@@ -230,8 +230,7 @@ def strigid_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:
 
     extend([], keys)
     out.sort(key=lambda o: (o.delta, o.mods, o.shifts))
-    ctx.memo[memo_key] = tuple(out)
-    return out
+    return {o: k for k, o in enumerate(out)}
 
 
 def stilting_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:

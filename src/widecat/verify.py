@@ -40,18 +40,7 @@ from .sequences import (count_signed_sequences, enumerate_signed_sequences,
 from .taurigid import (CObject, candidate_keys, ext_projective_ids,
                        full_subcategory, is_support_tau_rigid,
                        split_projective_part, stilting_objects,
-                       strigid_objects)
-
-SUITE_NAMES = (
-    "homological-lemmas",
-    "bijection",
-    "composition",
-    "associativity",
-    "category-axioms",
-    "irreducible",
-    "dirrt-bijection",
-    "sequences",
-)
+                       strigid_objects, strigid_positions)
 
 
 @dataclass
@@ -191,10 +180,12 @@ def _link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
     tau-rigid, in the order of `strigid_objects`; the lists are built from
     the subsets of each object's summands, so no pair is tested.
     """
-    if "link" in ctx.memo:
-        return ctx.memo["link"]
-    objs = strigid_objects(ctx, full_subcategory(ctx))
-    position = {o: k for k, o in enumerate(objs)}
+    return ctx.cached("link", _build_link, ctx)
+
+
+def _build_link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
+    position = strigid_positions(ctx, full_subcategory(ctx))
+    objs = list(position)
     link: dict[CObject, list[CObject]] = {}
     for y in objs:
         keys = y.keys()
@@ -205,77 +196,67 @@ def _link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
                 [k for b, k in enumerate(keys) if not mask >> b & 1])
             link.setdefault(objs[position[face]], []).append(
                 objs[position[rest]])
-    out = {s: tuple(sorted(xs, key=position.__getitem__))
-           for s, xs in link.items()}
-    ctx.memo["link"] = out
-    return out
-
-
-def _compatible_pairs(ctx: Context) -> tuple[tuple[CObject, CObject, CObject], ...]:
-    """All ordered pairs (u, v) of disjoint objects with u + v support tau-rigid."""
-    if "pairs" in ctx.memo:
-        return ctx.memo["pairs"]
-    link = _link(ctx)
-    out = tuple((u, v, u.union(v))
-                for u in strigid_objects(ctx, full_subcategory(ctx))
-                for v in link[u])
-    ctx.memo["pairs"] = out
-    return out
+    return {s: tuple(sorted(xs, key=position.__getitem__))
+            for s, xs in link.items()}
 
 
 def _suite_composition(ctx: Context, rep: VerificationReport,
                        table_impl) -> None:
     """Reducing in two steps reaches the same wide subcategory as one step."""
-    for u, v, uv in _compatible_pairs(ctx):
-        at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
-        try:
-            ev = _image(table_impl(ctx, None, u), v)
-            lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
-        except BudgetExceeded:
-            raise
-        except (KeyError, WidecatError) as exc:
-            rep.check("two-step-target-matches", False,
-                      lambda: f"{at}: V has no image ({exc})")
-            continue
-        rhs = wide_of(ctx, None, uv)
-        rep.check("two-step-target-matches",
-                  lhs.members == rhs.members,
-                  lambda: f"{at}: two-step target {_members(ctx, lhs)} vs "
-                          f"one-step {_members(ctx, rhs)}")
+    link = _link(ctx)
+    for u in strigid_objects(ctx, full_subcategory(ctx)):
+        for v in link[u]:
+            at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
+            try:
+                ev = _image(table_impl(ctx, None, u), v)
+                lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
+            except BudgetExceeded:
+                raise
+            except (KeyError, WidecatError) as exc:
+                rep.check("two-step-target-matches", False,
+                          lambda: f"{at}: V has no image ({exc})")
+                continue
+            rhs = wide_of(ctx, None, u.union(v))
+            rep.check("two-step-target-matches",
+                      lhs.members == rhs.members,
+                      lambda: f"{at}: two-step target {_members(ctx, lhs)} vs "
+                              f"one-step {_members(ctx, rhs)}")
 
 
 def _suite_associativity(ctx: Context, rep: VerificationReport,
                          table_impl) -> None:
     """Reducing by u then by the image of v equals reducing by u + v."""
     link = _link(ctx)
-    for u, v, uv in _compatible_pairs(ctx):
+    for u in strigid_objects(ctx, full_subcategory(ctx)):
         w1 = wide_of(ctx, None, u)
         t1 = table_impl(ctx, None, u)
-        at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
-        try:
-            t2 = table_impl(ctx, w1, _image(t1, v))
-        except BudgetExceeded:
-            raise
-        except (KeyError, WidecatError) as exc:
-            rep.check("stepwise-image-defined", False,
-                      lambda: f"{at}: V has no image ({exc})")
-            continue
-        tuv = table_impl(ctx, None, uv)
-        for x in link[uv]:
+        for v in link[u]:
+            at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
             try:
-                lhs = _image(t2, _image(t1, x))
-                rhs = _image(tuv, x)
+                t2 = table_impl(ctx, w1, _image(t1, v))
             except BudgetExceeded:
                 raise
             except (KeyError, WidecatError) as exc:
                 rep.check("stepwise-image-defined", False,
-                          lambda: f"{at}, X={x.describe(ctx)}: two-step image "
-                                  f"undefined ({exc})")
+                          lambda: f"{at}: V has no image ({exc})")
                 continue
-            rep.check("stepwise-image-matches", lhs == rhs,
-                      lambda: f"{at}, X={x.describe(ctx)}: two-step image "
-                              f"{lhs.describe(ctx)} vs one-step "
-                              f"{rhs.describe(ctx)}")
+            uv = u.union(v)
+            tuv = table_impl(ctx, None, uv)
+            for x in link[uv]:
+                try:
+                    lhs = _image(t2, _image(t1, x))
+                    rhs = _image(tuv, x)
+                except BudgetExceeded:
+                    raise
+                except (KeyError, WidecatError) as exc:
+                    rep.check("stepwise-image-defined", False,
+                              lambda: f"{at}, X={x.describe(ctx)}: two-step "
+                                      f"image undefined ({exc})")
+                    continue
+                rep.check("stepwise-image-matches", lhs == rhs,
+                          lambda: f"{at}, X={x.describe(ctx)}: two-step image "
+                                  f"{lhs.describe(ctx)} vs one-step "
+                                  f"{rhs.describe(ctx)}")
 
 
 def _suite_category_axioms(ctx: Context, rep: VerificationReport,
@@ -433,6 +414,7 @@ _SUITES = {
     "dirrt-bijection": _suite_dirrt,
     "sequences": _suite_sequences,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(ctx: Context, name: str, algebra: str = "",

@@ -61,6 +61,22 @@ def test_invalid_input_raises_on_every_call(a2_ctx, a2_labels):
             phi_inverse(a2_ctx, None, bad_ordered)
 
 
+def test_phi_checks_each_entry_it_computes(a2_ctx, a2_ids, a2_labels):
+    """A one-entry sequence outside a proper world, and an entry of two
+    summands, are rejected on every call."""
+    w = wide_of(a2_ctx, None, a2_labels["mS1"])
+    outside = next(CObject.of((i,)) for i in a2_ctx.ind_ids()
+                   if i not in w.members)
+    two = CObject.of((a2_ids["P1"], a2_ids["P2"]))
+    for _ in range(2):
+        with pytest.raises(NotExceptional):
+            phi(a2_ctx, w, (outside,))
+        with pytest.raises(NotExceptional):
+            phi(a2_ctx, None, (two,))
+    inside = CObject.of((min(w.members),))
+    assert phi(a2_ctx, w, (inside,)) == (inside,)
+
+
 def test_round_trips_and_counts_a2(a2_ctx):
     expected = {0: 1, 1: 5, 2: 10}
     for t in range(0, 3):

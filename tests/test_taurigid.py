@@ -8,7 +8,7 @@ from widecat.errors import NotSupportTauRigid, WidecatError
 from widecat.modules import decompose, hom_basis, is_isomorphic
 from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
                               bongartz_complement, candidate_keys, cover_in,
-                              ext_projective_ids, full_subcategory, in_gen,
+                              ext_projective_ids, full_subcategory,
                               is_support_tau_rigid, keys_compatible,
                               minimal_right_approximation, perp_tau_members,
                               split_projective_part, stilting_objects,
@@ -49,7 +49,7 @@ def test_canonical_sequence_exact_everywhere(tri_ctx):
             for v in range(3):
                 assert t.dims[v] + q.dims[v] == xm.dims[v]
             # membership in the generated class == full trace
-            assert (in_gen(tri_ctx, frozenset([u]), x)) == (t.dims == xm.dims)
+            assert (x in tri_ctx.gen_members(frozenset([u]))) == (t.dims == xm.dims)
 
 
 def test_gen_members_oracle(tri_ctx, tri_ids):
