@@ -26,7 +26,7 @@ more than `_MAX_FREE_PATHS` paths.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg

@@ -69,21 +69,18 @@ def almost_split_sequence(m: Module) -> AlmostSplitSequence:
         raise WidecatError("Ext^1(tau^{-1}M, M) vanished unexpectedly (bug)")
     rad = local_radical_basis(n)
     rep_vecs = [r.flatten() for r in ext.reps]
-    if rad:
-        action_rows = []
-        for phi in rad:
-            phi0 = _lift_endo_to_cover(pres, phi)
-            omega_map = factor_through_inclusion(
-                pres.omega_incl, phi0.compose(pres.omega_incl))
-            mat = []
-            for h in ext.reps:
-                vec = h.compose(omega_map).flatten()
-                mat.append(_quotient_coords(fd, ext.sub_rref, rep_vecs, vec))
-            # columns of the action matrix are images of the basis classes
-            action_rows.extend(linalg.transpose(mat))
-        soc = linalg.nullspace(fd, action_rows)
-    else:
-        soc = [row[:] for row in linalg.identity(fd, ext.dim)]
+    action_rows = []
+    for phi in rad:
+        phi0 = _lift_endo_to_cover(pres, phi)
+        omega_map = factor_through_inclusion(
+            pres.omega_incl, phi0.compose(pres.omega_incl))
+        mat = []
+        for h in ext.reps:
+            vec = h.compose(omega_map).flatten()
+            mat.append(_quotient_coords(fd, ext.sub_rref, rep_vecs, vec))
+        # columns of the action matrix are images of the basis classes
+        action_rows.extend(linalg.transpose(mat))
+    soc = linalg.nullspace(fd, action_rows, ext.dim)
     if len(soc) != 1:
         raise WidecatError(
             f"almost split class is not unique (socle dimension {len(soc)}); "

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import Algebra
 from .modules import (Module, ModuleMorphism, cokernel, direct_sum,
-                      hom_basis, injective_envelope, injective_sum, kernel,
-                      linear_combination, projective_cover, projective_sum,
-                      zero_module, zero_morphism)
+                      factor_through_inclusion, hom_basis, injective_envelope,
+                      injective_sum, kernel, linear_combination,
+                      projective_cover, projective_sum, zero_module,
+                      zero_morphism)
 
 
 @dataclass
@@ -56,39 +57,14 @@ def complex_direct_sum(cs: list[TwoTermComplex]) -> TwoTermComplex:
     return TwoTermComplex(p1, p0, ModuleMorphism(p1, p0, d))
 
 
-def factor_through_inclusion(incl: ModuleMorphism, g: ModuleMorphism) -> ModuleMorphism:
-    """The unique h with incl . h = g, for incl a monomorphism."""
-    alg = incl.source.alg
-    fd = alg.field
-    mats = {}
-    for v in range(alg.n):
-        kd, bd, ad = incl.source.dims[v], incl.target.dims[v], g.source.dims[v]
-        if kd == 0 or ad == 0:
-            mats[v] = linalg.zeros(fd, kd, ad)
-            if kd == 0 and any(x != 0 for row in g.mats[v] for x in row):
-                raise RuntimeError("map does not factor through the inclusion")
-            continue
-        sol = linalg.solve_matrix(fd, incl.mats[v], g.mats[v])
-        if sol is None:
-            raise RuntimeError("map does not factor through the inclusion")
-        mats[v] = sol
-    return ModuleMorphism(g.source, incl.source, mats)
-
-
 def factor_through_epi(epi: ModuleMorphism, q: ModuleMorphism) -> ModuleMorphism:
     """The unique h with h . epi = q, for epi an epimorphism killing ker q."""
     alg = epi.source.alg
-    fd = alg.field
     mats = {}
     for v in range(alg.n):
-        cd, nd = epi.target.dims[v], q.target.dims[v]
-        if cd == 0 or nd == 0:
-            mats[v] = linalg.zeros(fd, nd, cd)
-            if nd == 0 and any(x != 0 for row in q.mats[v] for x in row):
-                raise RuntimeError("map does not factor through the epimorphism")
-            continue
-        sol = linalg.solve_matrix(fd, linalg.transpose(epi.mats[v]),
-                                  linalg.transpose(q.mats[v]))
+        sol = linalg.solve_matrix(alg.field, linalg.transpose(epi.mats[v]),
+                                  linalg.transpose(q.mats[v]),
+                                  epi.target.dims[v], q.target.dims[v])
         if sol is None:
             raise RuntimeError("map does not factor through the epimorphism")
         mats[v] = linalg.transpose(sol)
@@ -349,11 +325,7 @@ def chain_maps_mod_homotopy(c: TwoTermComplex, d: TwoTermComplex
         cols.append(d.d.compose(g).flatten())
     for g in h0:
         cols.append([fd.neg(x) for x in g.compose(c.d).flatten()])
-    ncoord = len(cols[0]) if cols else 0
-    if ncoord == 0:
-        coeffs = [row[:] for row in linalg.identity(fd, len(h1) + len(h0))]
-    else:
-        coeffs = linalg.nullspace(fd, linalg.transpose(cols))
+    coeffs = linalg.nullspace(fd, linalg.transpose(cols), len(cols))
     chain_pairs = [(linear_combination(vec[:len(h1)], h1, c.p1, d.p1),
                     linear_combination(vec[len(h1):], h0, c.p0, d.p0))
                    for vec in coeffs]

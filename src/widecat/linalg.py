@@ -6,6 +6,12 @@ nonzero from the left, first candidate row from the top", so every result
 The scale here is tiny (corpus matrices stay under ~50 rows) so no effort
 is spent on asymptotics; correctness and reproducibility only.
 
+A matrix with no rows cannot carry its column count, so callers pass it to
+`nullspace` and `solve_matrix` wherever a matrix may have no rows.  Both
+answer every zero shape (no rows, no unknowns, no right-hand sides) without
+eliminating, and otherwise make one `rref`; `solve` and `inverse` are the
+cases b = one column and b = I of `solve_matrix`.
+
 `independent_columns` is the one "keep the vectors independent modulo a
 span" step: radicals, traces, approximations, Ext and homotopy quotients
 and complements all pick their bases through it.
@@ -144,17 +150,17 @@ def rank(field: FieldSpec, m: list[list]) -> int:
     return len(rref(field, m)[1])
 
 
-def nullspace(field: FieldSpec, m: list[list]) -> list[list]:
-    """Basis of the right kernel {v : m v = 0}, as a list of vectors.
+def nullspace(field: FieldSpec, m: list[list], cols: int) -> list[list]:
+    """Basis of the right kernel {v : m v = 0} of m, which has `cols` columns.
 
     The basis is the standard rref one: free columns in increasing order,
-    each basis vector has a 1 in its free column.
+    each basis vector has a 1 in its free column.  With no rows it is the
+    identity, with no columns it is empty.
     """
-    rows, cols = shape(m)
     if cols == 0:
         return []
-    if rows == 0:
-        return [row[:] for row in identity(field, cols)]
+    if not m:
+        return identity(field, cols)
     red, pivots = rref(field, m)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -170,37 +176,40 @@ def nullspace(field: FieldSpec, m: list[list]) -> list[list]:
 
 def solve(field: FieldSpec, m: list[list], b: list) -> list | None:
     """One solution of m x = b, or None if inconsistent (deterministic)."""
-    rows, cols = shape(m)
-    aug = [m[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(field, aug)
-    for r in range(len(pivots)):
-        if pivots[r] == cols:
-            return None  # pivot in the constant column
-    x = [field.zero] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+    x = solve_matrix(field, m, [[y] for y in b], shape(m)[1], 1)
+    return None if x is None else [row[0] for row in x]
 
 
-def solve_matrix(field: FieldSpec, m: list[list], b: list[list]) -> list[list] | None:
-    """Solve m X = b columnwise; None if any column is inconsistent."""
-    rows, cols = shape(m)
-    br, bc = shape(b)
-    if br != rows:
+def solve_matrix(field: FieldSpec, m: list[list], b: list[list], cols: int,
+                 bcols: int) -> list[list] | None:
+    """One solution X of m X = b, or None if any column is inconsistent.
+
+    m has `cols` columns and b has `bcols`; with no unknowns m need not carry
+    its rows.  One rref of [m | b] solves every column: the free unknowns are
+    zero, and a pivot past m's columns marks an inconsistent column.
+    """
+    if bcols == 0:
+        return zeros(field, cols, 0)
+    if cols == 0:
+        return None if any(x != 0 for row in b for x in row) else []
+    if len(m) != len(b):
         raise ValueError("solve_matrix shape mismatch")
-    xcols = []
-    for j in range(bc):
-        col = [b[i][j] for i in range(rows)]
-        x = solve(field, m, col)
-        if x is None:
-            return None
-        xcols.append(x)
-    return transpose(xcols) if xcols else zeros(field, cols, 0)
+    if not m:
+        return zeros(field, cols, bcols)
+    red, pivots = rref(field, [mr + br for mr, br in zip(m, b)])
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = zeros(field, cols, bcols)
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols:]
+    return x
 
 
 def column_space_basis(field: FieldSpec, m: list[list]) -> list[list]:
     """Deterministic basis of the column space, as column vectors."""
     rows, cols = shape(m)
+    if rows == 0 or cols == 0:
+        return []
     _, pivots = rref(field, m)
     return [[m[i][c] for i in range(rows)] for c in pivots]
 
@@ -235,11 +244,10 @@ def inverse(field: FieldSpec, m: list[list]) -> list[list]:
     rows, cols = shape(m)
     if rows != cols:
         raise ValueError("inverse of non-square matrix")
-    aug = hstack([m, identity(field, rows)]) if rows else []
-    red, pivots = rref(field, aug)
-    if len(pivots) != rows or any(p >= rows for p in pivots):
+    x = solve_matrix(field, m, identity(field, rows), rows, rows)
+    if x is None:
         raise ValueError("matrix is singular")
-    return [row[rows:] for row in red]
+    return x
 
 
 def independent_columns(field: FieldSpec, base: list[list], vectors: list[list]) -> list[int]:

@@ -349,19 +349,7 @@ def hom_basis(m: Module, n: Module) -> list[ModuleMorphism]:
                         row[idx] = f.sub(row[idx], na[i][k])
                 if any(x != 0 for x in row):
                     rows.append(row)
-    if not rows:
-        basis_vecs = [row[:] for row in linalg.identity(f, nvars)]
-    else:
-        basis_vecs = linalg.nullspace(f, rows)
-    out = []
-    for vec in basis_vecs:
-        mats = {}
-        for v in range(alg.n):
-            r, c = n.dims[v], m.dims[v]
-            base = offsets[v]
-            mats[v] = [vec[base + i * c: base + (i + 1) * c] for i in range(r)]
-        out.append(ModuleMorphism(m, n, mats))
-    return out
+    return [morphism_from_flat(m, n, vec) for vec in linalg.nullspace(f, rows, nvars)]
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -380,8 +368,7 @@ def submodule(m: Module, vecs: dict[int, list[list]], what: str
     """
     alg = m.alg
     dims = [len(vecs[v]) for v in range(alg.n)]
-    incls = {v: linalg.transpose(vecs[v]) if vecs[v] else [[] for _ in range(m.dims[v])]
-             for v in range(alg.n)}
+    incls = {v: linalg.transpose(vecs[v]) for v in range(alg.n)}
     mats = {}
     for ai, a in enumerate(alg.arrows):
         mats[ai] = _solve_through(alg.field, incls[a.target], m.mats[ai], incls[a.source],
@@ -394,15 +381,8 @@ def submodule(m: Module, vecs: dict[int, list[list]], what: str
 def kernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     """(K, inclusion K -> source)."""
     alg = f.source.alg
-    fd = alg.field
-    vecs = {}
-    for v in range(alg.n):
-        if f.source.dims[v] == 0:
-            vecs[v] = []
-        elif f.target.dims[v] == 0:
-            vecs[v] = [row[:] for row in linalg.identity(fd, f.source.dims[v])]
-        else:
-            vecs[v] = linalg.nullspace(fd, f.mats[v])
+    vecs = {v: linalg.nullspace(alg.field, f.mats[v], f.source.dims[v])
+            for v in range(alg.n)}
     return submodule(f.source, vecs, "kernel")
 
 
@@ -410,39 +390,37 @@ def _solve_through(fd, incl_t, big_mat, incl_s, amb_t: int, sub_t: int,
                    amb_s: int, sub_s: int, what: str):
     """Induced arrow matrix of a subrepresentation.
 
-    Solves incl_t . X = big_mat . incl_s where incl_* have full column rank;
-    all shapes passed explicitly so 0-dimensional spaces are safe.
+    Solves incl_t . X = big_mat . incl_s, where incl_t (amb_t x sub_t) and
+    incl_s (amb_s x sub_s) have full column rank.  The shapes are passed
+    because a 0-dimensional space leaves a matrix with no rows.
     """
     prod = _mm(fd, big_mat, incl_s, amb_t, amb_s, sub_s)
-    if sub_t == 0:
-        if any(x != 0 for row in prod for x in row):
-            raise RuntimeError(f"{what} is not a subrepresentation (bug)")
-        return linalg.zeros(fd, 0, sub_s)
-    if sub_s == 0:
-        return linalg.zeros(fd, sub_t, 0)
-    sol = linalg.solve_matrix(fd, incl_t, prod)
+    sol = linalg.solve_matrix(fd, incl_t, prod, sub_t, sub_s)
     if sol is None:
         raise RuntimeError(f"{what} is not a subrepresentation (bug)")
     return sol
+
+
+def factor_through_inclusion(incl: ModuleMorphism, g: ModuleMorphism) -> ModuleMorphism:
+    """The unique h with incl . h = g, for incl a monomorphism."""
+    alg = incl.source.alg
+    mats = {}
+    for v in range(alg.n):
+        sol = linalg.solve_matrix(alg.field, incl.mats[v], g.mats[v],
+                                  incl.source.dims[v], g.source.dims[v])
+        if sol is None:
+            raise RuntimeError("map does not factor through the inclusion")
+        mats[v] = sol
+    return ModuleMorphism(g.source, incl.source, mats)
 
 
 def image(f: ModuleMorphism) -> tuple[Module, ModuleMorphism, ModuleMorphism]:
     """(I, inclusion I -> target, projection source -> I)."""
     alg = f.source.alg
     fd = alg.field
-    cols = {v: linalg.column_space_basis(fd, f.mats[v]) if f.target.dims[v] else []
-            for v in range(alg.n)}
+    cols = {v: linalg.column_space_basis(fd, f.mats[v]) for v in range(alg.n)}
     i, inc = submodule(f.target, cols, "image")
-    projs = {}
-    for v in range(alg.n):
-        if i.dims[v] == 0 or f.source.dims[v] == 0:
-            projs[v] = linalg.zeros(fd, i.dims[v], f.source.dims[v])
-            continue
-        sol = linalg.solve_matrix(fd, inc.mats[v], f.mats[v])
-        if sol is None:
-            raise RuntimeError("image projection failed (bug)")
-        projs[v] = sol
-    return i, inc, ModuleMorphism(f.source, i, projs)
+    return i, inc, factor_through_inclusion(inc, f)
 
 
 def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
@@ -454,18 +432,13 @@ def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     dims = []
     for v in range(alg.n):
         d = f.target.dims[v]
-        img_cols = linalg.column_space_basis(fd, f.mats[v]) if d else []
+        img_cols = linalg.column_space_basis(fd, f.mats[v])
         comp = linalg.complement_basis(fd, img_cols, d)
         dims.append(len(comp))
-        cols = [list(c) for c in img_cols] + [list(c) for c in comp]
-        if d == 0:
-            projs[v] = []
-            sections[v] = [[] for _ in range(0)]
-            continue
-        t = linalg.transpose(cols)  # d x d, invertible
+        t = linalg.transpose(img_cols + comp)  # d x d, invertible
         tinv = linalg.inverse(fd, t)
         projs[v] = tinv[len(img_cols):]
-        sections[v] = linalg.transpose(comp) if comp else [[] for _ in range(d)]
+        sections[v] = linalg.transpose(comp)
     mats = {}
     for ai, a in enumerate(alg.arrows):
         dt, ds = f.target.dims[a.target], f.target.dims[a.source]
@@ -499,7 +472,7 @@ def top_lifts(m: Module) -> list[tuple[int, list]]:
     _, inc = radical_inclusion(m)
     out = []
     for v in range(alg.n):
-        rad_cols = linalg.transpose(inc.mats[v]) if m.dims[v] else []
+        rad_cols = linalg.transpose(inc.mats[v])
         comp = linalg.complement_basis(fd, rad_cols, m.dims[v])
         for c in comp:
             out.append((v, c))
@@ -516,10 +489,7 @@ def socle_vectors(m: Module) -> dict[int, list[list]]:
         for ai, a in enumerate(alg.arrows):
             if a.source == v:
                 rows.extend(m.mats[ai])
-        if not rows:
-            out[v] = [row[:] for row in linalg.identity(fd, m.dims[v])]
-        else:
-            out[v] = linalg.nullspace(fd, rows)
+        out[v] = linalg.nullspace(fd, rows, m.dims[v])
     return out
 
 
@@ -594,15 +564,14 @@ def minimal_polynomial(field, a: list[list]) -> list:
     d = len(a)
     if d == 0:
         return [field.one]  # convention: minimal polynomial 1 for the empty matrix
-    powers = [linalg.identity(field, d)]
-    flat = [[x for row in powers[0] for x in row]]
+    power = linalg.identity(field, d)
+    flat = [[x for row in power for x in row]]
     while True:
-        nxt = linalg.matmul(field, a, powers[-1])
-        target = [x for row in nxt for x in row]
+        power = linalg.matmul(field, a, power)
+        target = [x for row in power for x in row]
         sol = linalg.solve(field, linalg.transpose(flat), target)
         if sol is not None:
             return [field.neg(c) for c in sol] + [field.one]
-        powers.append(nxt)
         flat.append(target)
 
 
@@ -727,10 +696,7 @@ def local_radical_basis(m: Module, ends: list[ModuleMorphism] | None = None
                     "nilpotent parts are not multiplicatively closed; "
                     "cannot certify End(M) local")
     # return morphisms matching the reduced basis
-    out = []
-    for row in reduced:
-        out.append(morphism_from_flat(m, m, list(row)))
-    return out
+    return [morphism_from_flat(m, m, row) for row in reduced]
 
 
 def certify_local_end(m: Module, ends: list[ModuleMorphism]) -> bool:

@@ -24,7 +24,7 @@ import os
 import re
 from fractions import Fraction
 
-from .algebra import Algebra, QuiverPresentation, build_algebra
+from .algebra import Algebra, QuiverPresentation
 from .context import Context, DEFAULT_BUDGET, build_context
 from .errors import CacheCorrupt, IoError, ParseError
 from .fields import FieldError, FieldSpec, QQ, field_from_name

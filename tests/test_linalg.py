@@ -23,7 +23,7 @@ class TestBasics:
     def test_rank_and_nullspace(self, fd):
         m = [[fd.of(x) for x in row] for row in [[1, 2, 3], [2, 4, 6], [1, 0, 1]]]
         assert linalg.rank(fd, m) == 2
-        ns = linalg.nullspace(fd, m)
+        ns = linalg.nullspace(fd, m, 3)
         assert len(ns) == 1
         for row in m:
             s = fd.zero
@@ -97,7 +97,7 @@ def _matrices(draw):
 def test_rank_nullity(data, fd):
     m = [[fd.of(x) for x in row] for row in data]
     cols = len(m[0])
-    assert linalg.rank(fd, m) + len(linalg.nullspace(fd, m)) == cols
+    assert linalg.rank(fd, m) + len(linalg.nullspace(fd, m, cols)) == cols
 
 
 @settings(max_examples=60, deadline=None)
@@ -150,3 +150,77 @@ def test_independent_columns_matches_greedy_span_loop(problem, fd):
     base, vectors = ([[fd.of(x) for x in v] for v in vs] for vs in problem)
     assert linalg.independent_columns(fd, base, vectors) == \
         _greedy_independent(fd, base, vectors)
+
+
+@pytest.mark.parametrize("fd", FIELDS, ids=lambda f: f.name())
+class TestZeroShapes:
+    """A matrix with no rows cannot carry its column count, so the caller
+    passes it; these shapes are answered without an elimination."""
+
+    @pytest.fixture(autouse=True)
+    def no_rref(self, monkeypatch):
+        def boom(field, m):
+            raise AssertionError("zero shape reached rref")
+        monkeypatch.setattr(linalg, "rref", boom)
+
+    def test_nullspace_without_rows_is_the_identity(self, fd):
+        assert linalg.nullspace(fd, [], 3) == linalg.identity(fd, 3)
+
+    def test_nullspace_without_columns_is_empty(self, fd):
+        assert linalg.nullspace(fd, [], 0) == []
+        assert linalg.nullspace(fd, [[], []], 0) == []
+
+    def test_solve_matrix_without_rows(self, fd):
+        assert linalg.solve_matrix(fd, [], [], 2, 3) == linalg.zeros(fd, 2, 3)
+
+    def test_solve_matrix_without_unknowns(self, fd):
+        zero = [[fd.zero, fd.zero]]
+        assert linalg.solve_matrix(fd, [[]], zero, 0, 2) == []
+        assert linalg.solve_matrix(fd, [], [[fd.zero, fd.one]], 0, 2) is None
+
+    def test_solve_matrix_without_right_hand_sides(self, fd):
+        m = [[fd.one, fd.one], [fd.one, fd.one]]
+        assert linalg.solve_matrix(fd, m, [[], []], 2, 0) == [[], []]
+
+
+@st.composite
+def _systems(draw):
+    """(m, B): an r x c matrix and an r x k right-hand side, r, c, k >= 1."""
+    rows = draw(st.integers(min_value=1, max_value=4))
+    cols = draw(st.integers(min_value=1, max_value=4))
+    bcols = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.lists(st.lists(_entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(_entries, min_size=bcols, max_size=bcols),
+                      min_size=rows, max_size=rows))
+    return m, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_systems(), st.sampled_from(FIELDS))
+@example(([[1, 1], [1, 1]], [[1, 0], [1, 1]]), QQ)
+def test_solve_matrix_is_columnwise_solve(system, fd):
+    m, b = ([[fd.of(x) for x in row] for row in mat] for mat in system)
+    cols, bcols = len(m[0]), len(b[0])
+    x = linalg.solve_matrix(fd, m, b, cols, bcols)
+    per_column = [linalg.solve(fd, m, [row[j] for row in b])
+                  for j in range(bcols)]
+    if any(c is None for c in per_column):
+        assert x is None
+    else:
+        assert x == linalg.transpose(per_column)
+        assert linalg.matmul(fd, m, x) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(), st.sampled_from(FIELDS))
+def test_inverse_is_solve_matrix_against_the_identity(data, fd):
+    n = min(len(data), len(data[0]))
+    m = [[fd.of(x) for x in row[:n]] for row in data[:n]]
+    if not linalg.is_invertible(fd, m):
+        with pytest.raises(ValueError):
+            linalg.inverse(fd, m)
+        return
+    inv = linalg.inverse(fd, m)
+    assert inv == linalg.solve_matrix(fd, m, linalg.identity(fd, n), n, n)
+    assert linalg.matmul(fd, m, inv) == linalg.identity(fd, n)

@@ -4,6 +4,8 @@ import weakref
 
 import pytest
 
+from widecat.category import WideCategory, identity_of
+from widecat.errors import WidecatError
 from widecat.reduction import e_table
 from widecat.verify import (SUITE_NAMES, VerificationReport, run_suite,
                             run_verify)
@@ -150,6 +152,54 @@ def test_missing_table_key_is_reported_not_raised(tri_ctx):
         assert not rep.ok, suite
         assert any(f.check == check for f in rep.failures), suite
         assert all(f.counterexample for f in rep.failures), suite
+
+
+def test_wrong_rank_drop_is_reported_not_raised(monkeypatch):
+    """A rank drop that disagrees with the label count of one morphism turns
+    the irreducible suite red, naming the morphism and both numbers."""
+    ctx = load_context("a2.alg")
+    cat = WideCategory(ctx)
+    planted = next(m for m in cat.morphisms_from(cat.objects[0])
+                   if m.label.delta == 1)
+    real = WideCategory.corank
+    monkeypatch.setattr(
+        WideCategory, "corank",
+        lambda self, m: real(self, m) + (m == planted))
+    rep = run_suite(ctx, "irreducible")
+    assert rep.checks == EXPECTED_CHECKS["a2"]["irreducible"]
+    assert [f.check for f in rep.failures] == [
+        "irreducible-iff-single-summand"]
+    assert rep.failures[0].counterexample == (
+        f"{planted.describe(ctx)}: rank drop 2, 1 label summands")
+
+
+def test_failing_composition_is_reported_not_raised(monkeypatch):
+    """A composition that raises turns the category-axioms suite red under
+    the check that composed, naming the morphisms; nothing escapes, and
+    every check is still counted."""
+    ctx = load_context("a2.alg")
+    cat = WideCategory(ctx)
+    planted = next(m for m in cat.morphisms_from(cat.objects[0])
+                   if m.label.delta == 1)
+    real = WideCategory.compose
+
+    def compose(self, b, a):
+        if b == planted and a == identity_of(planted.source):
+            raise WidecatError("planted composition failure")
+        return real(self, b, a)
+
+    monkeypatch.setattr(WideCategory, "compose", compose)
+    rep = run_suite(ctx, "category-axioms")
+    assert rep.checks == EXPECTED_CHECKS["a2"]["category-axioms"]
+    checks = {f.check for f in rep.failures}
+    assert "identity-right-neutral" in checks
+    assert checks <= {"identity-right-neutral", "composition-associative"}
+    right = next(f for f in rep.failures if f.check == "identity-right-neutral")
+    assert right.counterexample == (
+        f"{planted.describe(ctx)} composed after the source identity raised "
+        "WidecatError: planted composition failure")
+    assert all(planted.describe(ctx) in f.counterexample
+               for f in rep.failures)
 
 
 # Cluster-complex f-vectors (f_0 = 1 for the zero object, then faces by
