@@ -112,7 +112,7 @@ class Algebra:
     def _check_relation(self, rel) -> list[tuple[object, tuple[int, ...]]]:
         if not rel:
             raise InconsistentRelation("empty relation")
-        terms = []
+        combined: dict[tuple[int, ...], object] = {}  # like terms summed
         endpoints = None
         for coeff_str, labels in rel:
             if len(labels) < 2:
@@ -134,9 +134,10 @@ class Algebra:
                 endpoints = ep
             elif endpoints != ep:
                 raise InconsistentRelation("relation terms are not parallel")
-            coeff = self.field.of(Fraction(coeff_str))
-            if coeff != 0:
-                terms.append((coeff, tuple(idxs)))
+            path = tuple(idxs)
+            combined[path] = self.field.add(combined.get(path, self.field.zero),
+                                            self.field.of(Fraction(coeff_str)))
+        terms = [(c, path) for path, c in combined.items() if c != 0]
         if not terms:
             raise InconsistentRelation("relation is identically zero")
         lengths = sorted({len(idxs) for _, idxs in terms})

@@ -10,10 +10,11 @@
     widecat factorizations FILE --morphism '["S2","P1[1]"]' [--source '[...]']
     widecat verify FILE [--suites a,b,...]
 
-Common flags: --field overrides the field declared in the file, --budget
-caps the iso-class enumeration, --cache-dir reuses stored enumerations,
---format selects the output encoding.  Exit codes: 0 success, 1 verification
-failure, 2 bad input, 3 budget exceeded.
+The nine commands come from one table, `_COMMANDS`, and every text-or-JSON
+output goes through `_emit`.  Common flags: --field overrides the field
+declared in the file, --budget caps the iso-class enumeration, --cache-dir
+reuses stored enumerations, --format selects the output encoding.  Exit
+codes: 0 success, 1 verification failure, 2 bad input, 3 budget exceeded.
 """
 from __future__ import annotations
 
@@ -37,16 +38,6 @@ from .textio import context_for, parse_algebra_file
 from .verify import SUITE_NAMES, run_verify
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="algebra presentation file")
-    p.add_argument("--field", help="override the field (Q, F101, 'Fp 101')")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="iso-class enumeration cap")
-    p.add_argument("--cache-dir", help="directory for enumeration snapshots")
-    p.add_argument("--format", dest="fmt",
-                   help="output format (text, json, dot where applicable)")
-
-
 def _presentation(args):
     pres = parse_algebra_file(args.file)
     if args.field:
@@ -67,8 +58,15 @@ def _fmt(args, allowed: tuple[str, ...], default: str) -> str:
     return fmt
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(fmt: str, doc, lines, total: int | None = None) -> None:
+    """Print `doc` as JSON, or else each of `lines`, then `total` on stderr."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    for line in lines:
+        print(line)
+    if total is not None:
+        print(f"total: {total}", file=sys.stderr)
 
 
 def _resolve_labels(ctx, names) -> list[int]:
@@ -78,6 +76,8 @@ def _resolve_labels(ctx, names) -> list[int]:
         if name not in by_label:
             raise InputError(f"unknown module label {name!r}; "
                              f"known: {', '.join(sorted(by_label))}")
+        if by_label[name] in out:
+            raise InputError(f"module label {name!r} is repeated")
         out.append(by_label[name])
     return out
 
@@ -92,23 +92,27 @@ def _parse_object(ctx, names) -> CObject:
 
 
 def _cmd_algebra(args) -> int:
-    if args.verb == "check":
-        pres = _presentation(args)
-        alg = build_algebra(pres)
-        doc = {
-            "vertices": len(pres.vertices),
-            "arrows": len(pres.arrows),
-            "relations": len(pres.relations),
-            "dimension": alg.dim,
-            "field": alg.field.name(),
-        }
-        if _fmt(args, ("text", "json"), "text") == "json":
-            _emit_json(doc)
-        else:
-            print(f"ok: {doc['vertices']} vertices, {doc['arrows']} arrows, "
-                  f"{doc['relations']} relations, dimension {doc['dimension']}, "
-                  f"field {doc['field']}")
+    pres = _presentation(args)
+    alg = build_algebra(pres)
+    doc = {
+        "vertices": len(pres.vertices),
+        "arrows": len(pres.arrows),
+        "relations": len(pres.relations),
+        "dimension": alg.dim,
+        "field": alg.field.name(),
+    }
+    _emit(_fmt(args, ("text", "json"), "text"), doc,
+          [f"ok: {doc['vertices']} vertices, {doc['arrows']} arrows, "
+           f"{doc['relations']} relations, dimension {doc['dimension']}, "
+           f"field {doc['field']}"])
     return 0
+
+
+def _module_line(r) -> str:
+    tags = "".join(t for t, on in (("P", r["projective"]),
+                                   ("I", r["injective"])) if on)
+    dims = ",".join(str(d) for d in r["dimension_vector"])
+    return f"{r['id']:>3}  {r['label']:<8} ({dims})  {tags}"
 
 
 def _cmd_modules(args) -> int:
@@ -119,14 +123,7 @@ def _cmd_modules(args) -> int:
              "projective": ctx.is_projective(i),
              "injective": i in ctx.injective_ids}
             for i in ctx.ind_ids()]
-    if fmt == "json":
-        _emit_json({"modules": rows})
-    else:
-        for r in rows:
-            tags = "".join(t for t, on in (("P", r["projective"]),
-                                           ("I", r["injective"])) if on)
-            dims = ",".join(str(d) for d in r["dimension_vector"])
-            print(f"{r['id']:>3}  {r['label']:<8} ({dims})  {tags}")
+    _emit(fmt, {"modules": rows}, map(_module_line, rows))
     return 0
 
 
@@ -137,7 +134,7 @@ def _cmd_ar_quiver(args) -> int:
     if fmt == "dot":
         sys.stdout.write(ar_quiver_dot(arq))
     else:
-        _emit_json(ar_quiver_json(arq))
+        _emit(fmt, ar_quiver_json(arq), ())
     return 0
 
 
@@ -145,15 +142,11 @@ def _cmd_tau_rigid(args) -> int:
     fmt = _fmt(args, ("text", "json"), "text")
     _, ctx = _load(args)
     objs = strigid_objects(ctx, full_subcategory(ctx))
-    if fmt == "json":
-        _emit_json({"objects": [
-            {"summands": [ctx.label(i) for i in o.mods] +
-                         [ctx.label(i) + "[1]" for i in o.shifts],
-             "size": o.delta} for o in objs]})
-    else:
-        for o in objs:
-            print(o.describe(ctx))
-        print(f"total: {len(objs)}", file=sys.stderr)
+    _emit(fmt, {"objects": [
+        {"summands": [ctx.label(i) for i in o.mods] +
+                     [ctx.label(i) + "[1]" for i in o.shifts],
+         "size": o.delta} for o in objs]},
+        (o.describe(ctx) for o in objs), len(objs))
     return 0
 
 
@@ -161,14 +154,11 @@ def _cmd_wide(args) -> int:
     fmt = _fmt(args, ("text", "json"), "text")
     _, ctx = _load(args)
     wides = enumerate_wide_subcategories(ctx)
-    if fmt == "json":
-        _emit_json({"wide_subcategories": [
-            {"members": [ctx.label(i) for i in w.key],
-             "rank": wide_rank(ctx, w)} for w in wides]})
-    else:
-        for w in wides:
-            print(f"rank {wide_rank(ctx, w)}: {w.describe(ctx)}")
-        print(f"total: {len(wides)}", file=sys.stderr)
+    _emit(fmt, {"wide_subcategories": [
+        {"members": [ctx.label(i) for i in w.key],
+         "rank": wide_rank(ctx, w)} for w in wides]},
+        (f"rank {wide_rank(ctx, w)}: {w.describe(ctx)}" for w in wides),
+        len(wides))
     return 0
 
 
@@ -187,19 +177,12 @@ def _cmd_sequences(args) -> int:
         raise InputError("--length must be nonnegative")
     if args.verb == "count":
         n = count_signed_sequences(ctx, None, args.length)
-        if fmt == "json":
-            _emit_json({"length": args.length, "count": n})
-        else:
-            print(n)
+        _emit(fmt, {"length": args.length, "count": n}, [n])
         return 0
-    seqs = enumerate_signed_sequences(ctx, None, args.length)
-    if fmt == "json":
-        _emit_json({"length": args.length, "sequences": [
-            [e.describe(ctx) for e in seq] for seq in seqs]})
-    else:
-        for seq in seqs:
-            print("(" + ", ".join(e.describe(ctx) for e in seq) + ")")
-        print(f"total: {len(seqs)}", file=sys.stderr)
+    seqs = [[e.describe(ctx) for e in seq]
+            for seq in enumerate_signed_sequences(ctx, None, args.length)]
+    _emit(fmt, {"length": args.length, "sequences": seqs},
+          ("(" + ", ".join(seq) + ")" for seq in seqs), len(seqs))
     return 0
 
 
@@ -226,19 +209,15 @@ def _cmd_factorizations(args) -> int:
         raise InputError(f"--morphism does not name a support tau-rigid "
                          f"object of the source: {exc}") from exc
     chains = factorizations(cat, m)
-    if fmt == "json":
-        _emit_json({"morphism": m.label.describe(ctx),
-                    "source": [ctx.label(i) for i in w.key],
-                    "factorizations": [
-                        {"ordering": [o.describe(ctx) for o in c.ordering],
-                         "chain": [g.label.describe(ctx) for g in c.chain]}
-                        for c in chains]})
-    else:
-        for c in chains:
-            arrows = " . ".join(f"g[{g.label.describe(ctx)}]"
-                                for g in reversed(c.chain)) or "identity"
-            print(arrows)
-        print(f"total: {len(chains)}", file=sys.stderr)
+    _emit(fmt, {"morphism": m.label.describe(ctx),
+                "source": [ctx.label(i) for i in w.key],
+                "factorizations": [
+                    {"ordering": [o.describe(ctx) for o in c.ordering],
+                     "chain": [g.label.describe(ctx) for g in c.chain]}
+                    for c in chains]},
+          (" . ".join(f"g[{g.label.describe(ctx)}]"
+                      for g in reversed(c.chain)) or "identity"
+           for c in chains), len(chains))
     return 0
 
 
@@ -253,14 +232,42 @@ def _cmd_verify(args) -> int:
             raise InputError(f"unknown suites {bad}; "
                              f"choose from {', '.join(SUITE_NAMES)}")
     reports = run_verify(ctx, suites=suites, algebra=args.file)
-    if fmt == "json":
-        _emit_json({"reports": [r.to_json() for r in reports]})
-    else:
-        for r in reports:
-            print(r.describe())
-            for f in r.failures:
-                print(f"    FAIL {f.check}: {f.counterexample}")
+    _emit(fmt, {"reports": [r.to_json() for r in reports]},
+          (line for r in reports for line in
+           [r.describe(), *(f"    FAIL {f.check}: {f.counterexample}"
+                            for f in r.failures)]))
     return 0 if all(r.ok for r in reports) else 1
+
+
+# name, verbs (none: no verb argument), handler, help, extra flags
+_COMMANDS = (
+    ("algebra", ["check"], _cmd_algebra,
+     "parse and validate a presentation", {}),
+    ("modules", ["list"], _cmd_modules, "indecomposable modules", {}),
+    ("ar-quiver", ["export"], _cmd_ar_quiver,
+     "irreducible maps between modules", {}),
+    ("tau-rigid", ["list"], _cmd_tau_rigid,
+     "basic support tau-rigid objects", {}),
+    ("wide", ["list"], _cmd_wide, "wide subcategories", {}),
+    ("wide-cat", ["export"], _cmd_wide_cat,
+     "the category of wide subcategories",
+     {"--drop-zero-object": dict(
+         action="store_true",
+         help="omit the zero subcategory from the export")}),
+    ("sequences", ["list", "count"], _cmd_sequences,
+     "signed exceptional sequences",
+     {"--length": dict(type=int, required=True)}),
+    ("factorizations", None, _cmd_factorizations,
+     "factorizations of one morphism into irreducibles",
+     {"--morphism": dict(
+         required=True,
+         help='JSON array of summand labels, e.g. \'["S2","P1[1]"]\''),
+      "--source": dict(help="JSON array: members of the source "
+                            "(defaults to the whole module category)")}),
+    ("verify", None, _cmd_verify, "run theorem verification suites",
+     {"--suites": dict(default="all",
+                       help="comma-separated suite names (default: all)")}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,59 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="wide subcategories of a representation-finite algebra: "
                     "objects, reduction morphisms, and theorem verification")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("algebra", help="parse and validate a presentation")
-    p.add_argument("verb", choices=["check"])
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_algebra)
-
-    p = sub.add_parser("modules", help="indecomposable modules")
-    p.add_argument("verb", choices=["list"])
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_modules)
-
-    p = sub.add_parser("ar-quiver", help="irreducible maps between modules")
-    p.add_argument("verb", choices=["export"])
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_ar_quiver)
-
-    p = sub.add_parser("tau-rigid", help="basic support tau-rigid objects")
-    p.add_argument("verb", choices=["list"])
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_tau_rigid)
-
-    p = sub.add_parser("wide", help="wide subcategories")
-    p.add_argument("verb", choices=["list"])
-    _common_flags(p)
-    p.set_defaults(fn=_cmd_wide)
-
-    p = sub.add_parser("wide-cat", help="the category of wide subcategories")
-    p.add_argument("verb", choices=["export"])
-    _common_flags(p)
-    p.add_argument("--drop-zero-object", action="store_true",
-                   help="omit the zero subcategory from the export")
-    p.set_defaults(fn=_cmd_wide_cat)
-
-    p = sub.add_parser("sequences", help="signed exceptional sequences")
-    p.add_argument("verb", choices=["list", "count"])
-    _common_flags(p)
-    p.add_argument("--length", type=int, required=True)
-    p.set_defaults(fn=_cmd_sequences)
-
-    p = sub.add_parser("factorizations",
-                       help="factorizations of one morphism into irreducibles")
-    _common_flags(p)
-    p.add_argument("--morphism", required=True,
-                   help='JSON array of summand labels, e.g. \'["S2","P1[1]"]\'')
-    p.add_argument("--source", help="JSON array: members of the source "
-                                    "(defaults to the whole module category)")
-    p.set_defaults(fn=_cmd_factorizations)
-
-    p = sub.add_parser("verify", help="run theorem verification suites")
-    _common_flags(p)
-    p.add_argument("--suites", default="all",
-                   help="comma-separated suite names (default: all)")
-    p.set_defaults(fn=_cmd_verify)
+    for name, verbs, fn, help_text, extra in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if verbs:
+            p.add_argument("verb", choices=verbs)
+        p.add_argument("file", help="algebra presentation file")
+        p.add_argument("--field",
+                       help="override the field (Q, F101, 'Fp 101')")
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                       help="iso-class enumeration cap")
+        p.add_argument("--cache-dir",
+                       help="directory for enumeration snapshots")
+        p.add_argument("--format", dest="fmt",
+                       help="output format (text, json, dot where applicable)")
+        for flag, kwargs in extra.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return top
 
 

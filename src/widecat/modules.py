@@ -414,13 +414,12 @@ def factor_through_inclusion(incl: ModuleMorphism, g: ModuleMorphism) -> ModuleM
     return ModuleMorphism(g.source, incl.source, mats)
 
 
-def image(f: ModuleMorphism) -> tuple[Module, ModuleMorphism, ModuleMorphism]:
-    """(I, inclusion I -> target, projection source -> I)."""
+def image(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
+    """(I, inclusion I -> target)."""
     alg = f.source.alg
     fd = alg.field
     cols = {v: linalg.column_space_basis(fd, f.mats[v]) for v in range(alg.n)}
-    i, inc = submodule(f.target, cols, "image")
-    return i, inc, factor_through_inclusion(inc, f)
+    return submodule(f.target, cols, "image")
 
 
 def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
@@ -638,7 +637,7 @@ def _fitting_split(m: Module, f: ModuleMorphism) -> tuple[Module, Module] | None
         power = power.compose(f)
     k, _ = kernel(power)
     if 0 < k.total_dim < d:
-        i, _, _ = image(power)
+        i, _ = image(power)
         return k, i
     return None
 

@@ -1,11 +1,12 @@
 """Reduction along a support tau-rigid object.
 
 Given a support tau-rigid object in the world W, `wide_of` computes the
-associated wide subcategory (the members of W with no maps from the module
-part, no extensions against its generated classes, and no maps from the
-shifted projectives).  The reduction bijection E is computed on one summand
-by `e_map_key`, tabulated once per (W, object) by `e_table`, and read from
-that table by `e_map` and its inverse `f_map`.  `e_map_key` works as follows:
+associated wide subcategory: the members X of W with no maps from the module
+part or the shifted projectives, and with Hom_W(X, tau_W U) = 0 for every
+module summand U (`hom_tau_vanishes`).  The reduction bijection E is
+computed on one summand by `e_map_key`, tabulated once per (W, object) by
+`e_table`, and read from that table by `e_map` and its inverse `f_map`.
+`e_map_key` works as follows:
 
 * module part U first (case I):
   (a) X not generated by U inside W: E(X) = X / trace of U;
@@ -40,7 +41,7 @@ from .modules import (Module, decompose, hstack_morphisms, kernel,
                       zero_module, zero_morphism)
 from .taurigid import (CObject, Key, WideSubcategory, candidate_keys, cover_in,
                        ext_projective_ids, full_subcategory,
-                       is_support_tau_rigid, keys_compatible,
+                       hom_tau_vanishes, is_support_tau_rigid, keys_compatible,
                        torsion_free_quotient)
 
 
@@ -60,17 +61,10 @@ def _wide_of(ctx: Context, w: WideSubcategory, obj: CObject) -> WideSubcategory:
     if not is_support_tau_rigid(ctx, w, obj):
         raise NotSupportTauRigid(
             f"object {obj} is not support tau-rigid in the given world")
-    members = []
-    for x in w.key:
-        if any(ctx.hom_dim(u, x) for u in obj.mods):
-            continue
-        genx = ctx.gen_members(frozenset([x])) & w.members
-        if any(ctx.ext1(u, g) for u in obj.mods for g in sorted(genx)):
-            continue
-        if any(ctx.hom_dim(p, x) for p in obj.shifts):
-            continue
-        members.append(x)
-    return WideSubcategory(frozenset(members))
+    return WideSubcategory(frozenset(
+        x for x in w.key
+        if not any(ctx.hom_dim(u, x) for u in obj.mods + obj.shifts)
+        and all(hom_tau_vanishes(ctx, w, x, u) for u in obj.mods)))
 
 
 def rel_presentation(ctx: Context, w: WideSubcategory, i: int) -> TwoTermComplex:

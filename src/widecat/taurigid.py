@@ -294,13 +294,9 @@ def cover_in(ctx: Context, proj_ids, x: Module) -> tuple[ModuleMorphism, list[in
 
 def perp_tau_members(ctx: Context, u_ids) -> frozenset[int]:
     """{X : Hom(X, tau U) = 0}, the Bongartz torsion class of a tau-rigid U."""
-    taus = [ctx.tau(u) for u in sorted(set(u_ids))]
-    taus = [t for t in taus if t is not None]
-    out = set()
-    for x in ctx.ind_ids():
-        if all(ctx.hom_dim(x, t) == 0 for t in taus):
-            out.add(x)
-    return frozenset(out)
+    u_ids = sorted(set(u_ids))
+    return frozenset(x for x in ctx.ind_ids()
+                     if all(hom_tau_vanishes(ctx, None, x, u) for u in u_ids))
 
 
 def bongartz_complement(ctx: Context, u_ids) -> tuple[int, ...]:

@@ -14,11 +14,14 @@ the order of `strigid_objects`; it has sum over T of 2^|T| entries, and the
 suites visit exactly the objects they check instead of scanning all objects
 for each pair.
 
-The reduction-table implementation used by the sweeps can be swapped out
-(`table_impl`), which lets the test suite plant a deliberately corrupted
-reduction and confirm that the suites catch it.  A summand missing from a
-swapped-in table, or an image that is not a valid object of the reduced
-world, is reported as a failure, never raised.
+The sweeps read reduction tables through this module's `e_table` binding,
+so the test suite plants a deliberately corrupted reduction by patching
+`verify.e_table` and confirms that the suites catch it.  A step that may
+raise (a summand missing from a patched table, an image that is not a valid
+object of the reduced world, a composition that fails) runs through
+`VerificationReport.attempt`, the one path that turns a raised error into a
+failed check, so it is reported, never raised; `BudgetExceeded` still
+propagates.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .category import (WideCategory, enumerate_wide_subcategories,
                        identity_of)
@@ -41,6 +45,8 @@ from .taurigid import (CObject, candidate_keys, ext_projective_ids,
                        full_subcategory, is_support_tau_rigid,
                        split_projective_part, stilting_objects,
                        strigid_objects, strigid_positions)
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -67,6 +73,22 @@ class VerificationReport:
         self.checks += 1
         if not ok:
             self.failures.append(Failure(name, counterexample()))
+
+    def attempt(self, name: str, compute: Callable[[], T],
+                what: Callable[[], str]) -> T | None:
+        """`compute()`, or None after one failed `name` check if it raises.
+
+        The counterexample reads "<what()> raised <Type>: <message>".  Only
+        KeyError and WidecatError are caught; BudgetExceeded propagates.
+        """
+        try:
+            return compute()
+        except BudgetExceeded:
+            raise
+        except (KeyError, WidecatError) as exc:
+            self.check(name, False,
+                       lambda: f"{what()} raised {type(exc).__name__}: {exc}")
+            return None
 
     def describe(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.failures)} FAILED"
@@ -97,8 +119,7 @@ def _members(ctx: Context, w) -> str:
 # suites
 
 
-def _suite_homological(ctx: Context, rep: VerificationReport,
-                       table_impl) -> None:
+def _suite_homological(ctx: Context, rep: VerificationReport) -> None:
     """Three equivalent readings of rigidity, plus translate round trips."""
     ids = ctx.ind_ids()
     for u, x in itertools.product(ids, repeat=2):
@@ -127,13 +148,12 @@ def _suite_homological(ctx: Context, rep: VerificationReport,
                               f" is {ctx.label(ctx.tau(ti)) if ctx.tau(ti) is not None else 0}")
 
 
-def _suite_bijection(ctx: Context, rep: VerificationReport,
-                     table_impl) -> None:
+def _suite_bijection(ctx: Context, rep: VerificationReport) -> None:
     """The reduction is a summand-count-preserving bijection, for every object."""
     link = _link(ctx)
     for u in strigid_objects(ctx, full_subcategory(ctx)):
         w1 = wide_of(ctx, None, u)
-        table = table_impl(ctx, None, u)
+        table = e_table(ctx, None, u)
         at = f"reducing by {u.describe(ctx)}"
         values = list(table.values())
         rep.check("summand-map-injective", len(set(values)) == len(values),
@@ -147,14 +167,9 @@ def _suite_bijection(ctx: Context, rep: VerificationReport,
         domain = link[u]
         images = []
         for x in domain:
-            try:
-                y = _image(table, x)
-            except BudgetExceeded:
-                raise
-            except (KeyError, WidecatError) as exc:
-                rep.check("object-image-formed", False,
-                          lambda: f"{at}: image of {x.describe(ctx)} is not "
-                                  f"a valid object ({exc})")
+            y = rep.attempt("object-image-formed", lambda: _image(table, x),
+                            lambda: f"{at}: image of {x.describe(ctx)}")
+            if y is None:
                 continue
             images.append(y)
             rep.check("object-image-summand-count", y.delta == x.delta,
@@ -200,21 +215,18 @@ def _build_link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
             for s, xs in link.items()}
 
 
-def _suite_composition(ctx: Context, rep: VerificationReport,
-                       table_impl) -> None:
+def _suite_composition(ctx: Context, rep: VerificationReport) -> None:
     """Reducing in two steps reaches the same wide subcategory as one step."""
     link = _link(ctx)
     for u in strigid_objects(ctx, full_subcategory(ctx)):
         for v in link[u]:
             at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
-            try:
-                ev = _image(table_impl(ctx, None, u), v)
-                lhs = wide_of(ctx, wide_of(ctx, None, u), ev)
-            except BudgetExceeded:
-                raise
-            except (KeyError, WidecatError) as exc:
-                rep.check("two-step-target-matches", False,
-                          lambda: f"{at}: V has no image ({exc})")
+            lhs = rep.attempt(
+                "two-step-target-matches",
+                lambda: wide_of(ctx, wide_of(ctx, None, u),
+                                _image(e_table(ctx, None, u), v)),
+                lambda: f"{at}: two-step target")
+            if lhs is None:
                 continue
             rhs = wide_of(ctx, None, u.union(v))
             rep.check("two-step-target-matches",
@@ -223,57 +235,45 @@ def _suite_composition(ctx: Context, rep: VerificationReport,
                               f"one-step {_members(ctx, rhs)}")
 
 
-def _suite_associativity(ctx: Context, rep: VerificationReport,
-                         table_impl) -> None:
+def _suite_associativity(ctx: Context, rep: VerificationReport) -> None:
     """Reducing by u then by the image of v equals reducing by u + v."""
     link = _link(ctx)
     for u in strigid_objects(ctx, full_subcategory(ctx)):
         w1 = wide_of(ctx, None, u)
-        t1 = table_impl(ctx, None, u)
+        t1 = e_table(ctx, None, u)
         for v in link[u]:
             at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
-            try:
-                t2 = table_impl(ctx, w1, _image(t1, v))
-            except BudgetExceeded:
-                raise
-            except (KeyError, WidecatError) as exc:
-                rep.check("stepwise-image-defined", False,
-                          lambda: f"{at}: V has no image ({exc})")
+            t2 = rep.attempt("stepwise-image-defined",
+                             lambda: e_table(ctx, w1, _image(t1, v)),
+                             lambda: f"{at}: table of the image of V")
+            if t2 is None:
                 continue
             uv = u.union(v)
-            tuv = table_impl(ctx, None, uv)
+            tuv = e_table(ctx, None, uv)
             for x in link[uv]:
-                try:
-                    lhs = _image(t2, _image(t1, x))
-                    rhs = _image(tuv, x)
-                except BudgetExceeded:
-                    raise
-                except (KeyError, WidecatError) as exc:
-                    rep.check("stepwise-image-defined", False,
-                              lambda: f"{at}, X={x.describe(ctx)}: two-step "
-                                      f"image undefined ({exc})")
+                images = rep.attempt(
+                    "stepwise-image-defined",
+                    lambda: (_image(t2, _image(t1, x)), _image(tuv, x)),
+                    lambda: f"{at}, X={x.describe(ctx)}: two-step image")
+                if images is None:
                     continue
+                lhs, rhs = images
                 rep.check("stepwise-image-matches", lhs == rhs,
                           lambda: f"{at}, X={x.describe(ctx)}: two-step image "
                                   f"{lhs.describe(ctx)} vs one-step "
                                   f"{rhs.describe(ctx)}")
 
 
-def _suite_category_axioms(ctx: Context, rep: VerificationReport,
-                           table_impl) -> None:
+def _suite_category_axioms(ctx: Context, rep: VerificationReport) -> None:
     """Identities are neutral, composition is associative, and each wide
     subcategory has morphisms to exactly its wide subcategories.  A
     composition that raises fails its check, which names the morphisms."""
     cat = WideCategory(ctx)
 
     def check(name, test, what, fails):
-        try:
-            ok = test()
-        except BudgetExceeded:
-            raise
-        except WidecatError as exc:
-            ok, fails = False, f"raised {type(exc).__name__}: {exc}"
-        rep.check(name, ok, lambda: f"{what()} {fails}")
+        ok = rep.attempt(name, test, what)
+        if ok is not None:
+            rep.check(name, ok, lambda: f"{what()} {fails}")
 
     ms = cat.all_morphisms()
     for m in ms:
@@ -311,8 +311,7 @@ def _suite_category_axioms(ctx: Context, rep: VerificationReport,
                                   f"{_members(ctx, w2)}")
 
 
-def _suite_irreducible(ctx: Context, rep: VerificationReport,
-                       table_impl) -> None:
+def _suite_irreducible(ctx: Context, rep: VerificationReport) -> None:
     """Morphism counts over rank-one drops, a rank drop of one iff a label of
     one summand, and injectivity of the wide image."""
     cat = WideCategory(ctx)
@@ -341,18 +340,14 @@ def _suite_irreducible(ctx: Context, rep: VerificationReport,
         seen: dict[tuple, int] = {}
         for _, i in module_keys:
             key = wide_of(ctx, w, CObject.of((i,))).key
-            if key in seen:
-                rep.check("wide-image-injective-on-modules", False,
-                          lambda: f"in {_members(ctx, w)}: "
-                                  f"{ctx.label(seen[key])} and {ctx.label(i)}"
-                                  " have the same wide image")
-            else:
-                rep.check("wide-image-injective-on-modules", True)
-                seen[key] = i
+            rep.check("wide-image-injective-on-modules", key not in seen,
+                      lambda: f"in {_members(ctx, w)}: "
+                              f"{ctx.label(seen[key])} and {ctx.label(i)}"
+                              " have the same wide image")
+            seen.setdefault(key, i)
 
 
-def _suite_dirrt(ctx: Context, rep: VerificationReport,
-                 table_impl) -> None:
+def _suite_dirrt(ctx: Context, rep: VerificationReport) -> None:
     """Maximal rigid objects biject onto wide subcategories via the split part."""
     full = full_subcategory(ctx)
     maximal = stilting_objects(ctx, full)
@@ -367,22 +362,18 @@ def _suite_dirrt(ctx: Context, rep: VerificationReport,
         rep.check("image-is-wide", key in wides,
                   lambda: f"{t.describe(ctx)} maps to {key}, not a wide "
                           "subcategory")
-        if key in images:
-            rep.check("assignment-injective", False,
-                      lambda: f"{t.describe(ctx)} and "
-                              f"{images[key].describe(ctx)} both map to the "
-                              f"wide subcategory {key}")
-        else:
-            rep.check("assignment-injective", True)
-            images[key] = t
+        rep.check("assignment-injective", key not in images,
+                  lambda: f"{t.describe(ctx)} and "
+                          f"{images[key].describe(ctx)} both map to the "
+                          f"wide subcategory {key}")
+        images.setdefault(key, t)
     rep.check("assignment-onto",
               set(images) == wides and len(maximal) == len(wides),
               lambda: f"{len(maximal)} maximal objects cover "
                       f"{len(set(images))} of {len(wides)} wide subcategories")
 
 
-def _suite_sequences(ctx: Context, rep: VerificationReport,
-                     table_impl) -> None:
+def _suite_sequences(ctx: Context, rep: VerificationReport) -> None:
     """Sequence counts, the factorization count, and both round trips."""
     cat = WideCategory(ctx)
     for w in cat.objects:
@@ -433,23 +424,21 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(ctx: Context, name: str, algebra: str = "",
-              table_impl=None) -> VerificationReport:
+def run_suite(ctx: Context, name: str, algebra: str = "") -> VerificationReport:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     rep = VerificationReport(suite=name, algebra=algebra or repr(ctx.alg))
     start = time.perf_counter()
-    _SUITES[name](ctx, rep, table_impl or e_table)
+    _SUITES[name](ctx, rep)
     rep.seconds = time.perf_counter() - start
     return rep
 
 
-def run_verify(ctx: Context, suites=None, algebra: str = "",
-               table_impl=None) -> list[VerificationReport]:
+def run_verify(ctx: Context, suites=None,
+               algebra: str = "") -> list[VerificationReport]:
     """Run the selected suites (all of them by default), in a fixed order."""
     chosen = list(suites) if suites else list(SUITE_NAMES)
     for s in chosen:
         if s not in _SUITES:
             raise ValueError(f"unknown suite {s!r}; choose from {SUITE_NAMES}")
-    return [run_suite(ctx, s, algebra=algebra, table_impl=table_impl)
-            for s in chosen]
+    return [run_suite(ctx, s, algebra=algebra) for s in chosen]

@@ -1,4 +1,5 @@
 """Path algebras with relations: basis, multiplication, validation."""
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,30 @@ def test_mixed_length_relation_rejected():
         relations=((("1", ("a", "b")), ("-1", ("c", "d", "e"))),))
     with pytest.raises(NonAdmissible, match="lengths 2, 3"):
         build_algebra(bad)
+
+
+@pytest.mark.parametrize("field, terms", [
+    ("Q", (("1", ("a", "b")), ("-1", ("a", "b")))),
+    ("F3", (("1", ("a", "b")), ("2", ("a", "b")))),
+])
+def test_relation_zero_after_combining_like_terms_rejected(field, terms):
+    bad = QuiverPresentation(
+        vertices=("1", "2", "3"), arrows=(("a", "1", "2"), ("b", "2", "3")),
+        relations=(terms,), field=field_from_name(field))
+    with pytest.raises(InconsistentRelation, match="identically zero"):
+        build_algebra(bad)
+
+
+def test_cancelling_terms_do_not_count_toward_homogeneity():
+    # the two length-3 terms cancel, leaving the length-2 relation b*a
+    sq = QuiverPresentation(
+        vertices=("1", "2", "3", "4", "5"),
+        arrows=(("a", "1", "2"), ("b", "2", "3"), ("c", "1", "4"),
+                ("d", "4", "5"), ("e", "5", "3")),
+        relations=((("1", ("c", "d", "e")), ("1", ("a", "b")),
+                    ("-1", ("c", "d", "e"))),))
+    plain = dataclasses.replace(sq, relations=((("1", ("a", "b")),),))
+    assert build_algebra(sq).dim == build_algebra(plain).dim
 
 
 def test_non_parallel_relation_rejected():

@@ -189,6 +189,17 @@ def test_error_exit_codes(capsys, tmp_path):
     assert code == 2 and "not a wide subcategory" in err
 
 
+@pytest.mark.parametrize("label, flags", [
+    ("S2", ("--morphism", '["S2","S2"]')),
+    ("P3", ("--morphism", '["P3[1]","P3[1]"]')),
+    ("I3", ("--morphism", "[]", "--source", '["P2","I3","I1","I3"]')),
+])
+def test_repeated_labels_rejected(capsys, label, flags):
+    code, out, err = run(capsys, "factorizations", TRI, *flags)
+    assert code == 2 and out == ""
+    assert f"module label {label!r} is repeated" in err
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "modules", "list", TRI, "--budget", "2")
     assert code == 3 and "budget" in err

@@ -47,7 +47,7 @@ def test_rank_nullity_per_vertex(tri_ctx, tri_ids):
     y = tri_ctx.rep(tri_ids["I2"])
     for f in hom_basis(x, y):
         ker, _ = kernel(f)
-        im, _, _ = image(f)
+        im, _ = image(f)
         cok, _ = cokernel(f)
         for v in range(3):
             assert ker.dims[v] + im.dims[v] == x.dims[v]

@@ -4,8 +4,9 @@ import weakref
 
 import pytest
 
+from widecat import verify
 from widecat.category import WideCategory, identity_of
-from widecat.errors import WidecatError
+from widecat.errors import BudgetExceeded, WidecatError
 from widecat.reduction import e_table
 from widecat.verify import (SUITE_NAMES, VerificationReport, run_suite,
                             run_verify)
@@ -103,6 +104,37 @@ def test_counterexample_text_is_built_only_on_failure():
         ("fails", "the counterexample"), ("fails-without-text", "")]
 
 
+def test_attempt_returns_the_value_and_adds_no_check():
+    rep = VerificationReport(suite="s", algebra="a")
+    assert rep.attempt("step", lambda: 7, lambda: "never built") == 7
+    assert rep.checks == 0 and rep.ok
+
+
+@pytest.mark.parametrize("exc, text", [
+    (KeyError(("m", 3)), "KeyError: ('m', 3)"),
+    (WidecatError("no image"), "WidecatError: no image"),
+])
+def test_attempt_records_one_failure_for_a_raised_error(exc, text):
+    def compute():
+        raise exc
+
+    rep = VerificationReport(suite="s", algebra="a")
+    assert rep.attempt("step", compute, lambda: "X=S1: image") is None
+    assert rep.checks == 1
+    assert [(f.check, f.counterexample) for f in rep.failures] == [
+        ("step", f"X=S1: image raised {text}")]
+
+
+def test_attempt_lets_budget_exceeded_through():
+    def compute():
+        raise BudgetExceeded("over budget")
+
+    rep = VerificationReport(suite="s", algebra="a")
+    with pytest.raises(BudgetExceeded):
+        rep.attempt("step", compute, lambda: "X=S1")
+    assert rep.checks == 0
+
+
 def _colliding(ctx, w, obj):
     """A reduction table with two summands sent to the same image."""
     table = dict(e_table(ctx, w, obj))
@@ -112,26 +144,28 @@ def _colliding(ctx, w, obj):
     return table
 
 
-def test_mutated_reduction_is_caught(a2_ctx):
+def test_mutated_reduction_is_caught(a2_ctx, monkeypatch):
     """Planting a collision in the reduction table must turn the suite red."""
-    rep = run_suite(a2_ctx, "bijection", table_impl=_colliding)
+    monkeypatch.setattr(verify, "e_table", _colliding)
+    rep = run_suite(a2_ctx, "bijection")
     assert not rep.ok
     assert any(f.check == "summand-map-injective" for f in rep.failures)
     assert all(f.counterexample for f in rep.failures)
 
 
-def test_colliding_reduction_is_reported_not_raised():
+def test_colliding_reduction_is_reported_not_raised(monkeypatch):
     """A collision can map an object onto one that is not support tau-rigid
     in the reduced world; every sweep reports that, none raises.  A fresh
     context keeps the corrupted tables out of the shared fixtures."""
     ctx = load_context("triangle.alg")
+    monkeypatch.setattr(verify, "e_table", _colliding)
     for suite in ("bijection", "composition", "associativity"):
-        rep = run_suite(ctx, suite, table_impl=_colliding)
+        rep = run_suite(ctx, suite)
         assert not rep.ok, suite
         assert all(f.counterexample for f in rep.failures), suite
 
 
-def test_missing_table_key_is_reported_not_raised(tri_ctx):
+def test_missing_table_key_is_reported_not_raised(tri_ctx, monkeypatch):
     """A table that lacks a summand turns the sweeps red; nothing escapes.
 
     Only tables of objects with two or more summands lose a key, so in
@@ -144,11 +178,12 @@ def test_missing_table_key_is_reported_not_raised(tri_ctx):
             del table[max(table)]
         return table
 
+    monkeypatch.setattr(verify, "e_table", dropping)
     expected = {"bijection": "object-image-formed",
                 "composition": "two-step-target-matches",
                 "associativity": "stepwise-image-defined"}
     for suite, check in expected.items():
-        rep = run_suite(tri_ctx, suite, table_impl=dropping)
+        rep = run_suite(tri_ctx, suite)
         assert not rep.ok, suite
         assert any(f.check == check for f in rep.failures), suite
         assert all(f.counterexample for f in rep.failures), suite
