@@ -110,10 +110,11 @@ class ARQuiver:
 
 
 def radical_hom_basis(ctx, i: int, j: int) -> list[ModuleMorphism]:
-    """Basis of rad(X_i, X_j) between registered indecomposables."""
+    """Basis of rad(X_i, X_j) between registered indecomposables; rad End(X_i)
+    is computed once per class."""
     if i != j:
         return ctx.hom(i, j)
-    return local_radical_basis(ctx.rep(i), ctx.hom(i, i))
+    return ctx.cached(("rad", i), local_radical_basis, ctx.rep(i), ctx.hom(i, i))
 
 
 def irreducible_multiplicity(ctx, i: int, j: int) -> int:

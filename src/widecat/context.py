@@ -15,14 +15,14 @@ Caches are plain dicts filled on first use; every value is deterministic.
 """
 from __future__ import annotations
 
-from . import linalg
 from .algebra import Algebra
 from .arquiver import almost_split_sequence
 from .errors import BudgetExceeded, InjectiveInput
 from .homology import Presentation, ar_translate, ext1_dim, minimal_presentation
 from .modules import (Module, ModuleMorphism, cokernel, decompose, hom_basis,
-                      indec_isomorphic, injective_module, projective_module,
-                      radical_inclusion, socle_vectors, submodule)
+                      image_span, indec_isomorphic, injective_module,
+                      projective_module, radical_inclusion, socle_vectors,
+                      submodule)
 
 DEFAULT_BUDGET = 10_000
 
@@ -194,9 +194,10 @@ class Context:
         """`memo[key]`, or `compute(*args)` stored there on a miss.
 
         The one memo policy: one entry per derived object, keyed by its kind
-        and what it is derived from.  The kinds: full, strigid, extproj
-        (taurigid); wide_of, relpres, f_U, etable, finv (reduction); wides,
-        homs (category); link (verify); phi, phi_inverse, singles (sequences).
+        and what it is derived from.  The kinds: rad (arquiver); full,
+        strigid, extproj (taurigid); wide_of, relpres, f_U, etable, finv
+        (reduction); wides, homs (category); link (verify); phi, phi_inverse,
+        singles (sequences).
         Only successes are stored, so a failing input raises on every call;
         the last three are dicts that their module grows by the same rule.
         No other value changes once stored, and none refers to the context.
@@ -212,28 +213,15 @@ class Context:
     def gen_members(self, gens: frozenset[int]) -> frozenset[int]:
         """Ids of indecomposables lying in Gen(direct sum of the given classes)."""
         gens = frozenset(gens)
-        if gens in self._gen:
-            return self._gen[gens]
-        out = set()
-        glist = sorted(gens)
-        for x, target in enumerate(self._reps):
-            ok = True
-            for v in range(self.alg.n):
-                if target.dims[v] == 0:
-                    continue
-                cols = []
-                for g in glist:
-                    for f in self.hom(g, x):
-                        cols.extend([[f.mats[v][r][c] for r in range(target.dims[v])]
-                                     for c in range(f.source.dims[v])])
-                if len(linalg.row_space_reduce(self.alg.field, cols)) < target.dims[v]:
-                    ok = False
-                    break
-            if ok:
-                out.add(x)
-        res = frozenset(out)
-        self._gen[gens] = res
-        return res
+        if gens not in self._gen:
+            glist = sorted(gens)
+            out = []
+            for x, target in enumerate(self._reps):
+                span = image_span(target, [f for g in glist for f in self.hom(g, x)])
+                if all(len(span[v]) == d for v, d in enumerate(target.dims)):
+                    out.append(x)
+            self._gen[gens] = frozenset(out)
+        return self._gen[gens]
 
 
 def build_context(alg: Algebra, budget: int = DEFAULT_BUDGET) -> Context:

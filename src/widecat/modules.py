@@ -422,6 +422,20 @@ def image(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     return submodule(f.target, cols, "image")
 
 
+def image_span(target: Module, maps: list[ModuleMorphism]) -> dict[int, list[list]]:
+    """Per-vertex basis of the sum of the images of maps into target.
+
+    The basis at a vertex is the greedily independent columns of the maps,
+    taken in order."""
+    alg = target.alg
+    vecs = {}
+    for v in range(alg.n):
+        cols = [[f.mats[v][r][c] for r in range(target.dims[v])]
+                for f in maps for c in range(f.source.dims[v])]
+        vecs[v] = [cols[k] for k in linalg.independent_columns(alg.field, [], cols)]
+    return vecs
+
+
 def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     """(C, projection target -> C)."""
     alg = f.source.alg
@@ -539,14 +553,7 @@ def injective_envelope(m: Module) -> tuple[Module, list[int], ModuleMorphism, li
             off, paths = layout[k][w]
             for r, pi in enumerate(paths):
                 act = m.path_action(alg.basis[pi])  # M_w -> M_v
-                row = [fd.zero] * m.dims[w]
-                for j in range(m.dims[w]):
-                    acc = fd.zero
-                    for t_ in range(m.dims[v]):
-                        if phi[t_] != 0 and act[t_][j] != 0:
-                            acc = fd.add(acc, fd.mul(phi[t_], act[t_][j]))
-                    row[j] = acc
-                mats[w][off + r] = row
+                mats[w][off + r] = linalg.mat_vec(fd, linalg.transpose(act), phi)
     emb = ModuleMorphism(m, i_mod, mats)
     return i_mod, vertices, emb, layout
 

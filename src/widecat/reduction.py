@@ -6,6 +6,8 @@ part or the shifted projectives, and with Hom_W(X, tau_W U) = 0 for every
 module summand U (`hom_tau_vanishes`).  The reduction bijection E is
 computed on one summand by `e_map_key`, tabulated once per (W, object) by
 `e_table`, and read from that table by `e_map` and its inverse `f_map`.
+The table's domain is read from the clique set of C(W): the keys k, sharing
+no class with the object, for which object + k is support tau-rigid.
 `e_map_key` works as follows:
 
 * module part U first (case I):
@@ -22,7 +24,10 @@ inverse bijection F is read from the inverse of the table, `("finv", w.key,
 obj)`, built once per (W, object) by `f_map_keys`, which works on summand
 keys; `f_map` and `sequences.phi` both go through it.  Cases I(a) and II(b)
 apply f_U to an enumerated class X; f_U is computed in mod A and does not
-depend on W, so its class id is kept under `("f_U", frozenset(U), X)`.
+depend on W, so its class id is kept under `("f_U", frozenset(U), X)`, and
+its trace reads Hom(U, X) from `Context.hom`.  Only modules that are not
+enumerated classes (a syzygy in a relative presentation, a cone homology)
+get their Hom bases from `hom_basis`.
 
 The cone route tolerates non-minimal approximations: a surplus summand that
 factors through the rest contributes only add(U) pieces to the degree -1
@@ -37,12 +42,11 @@ from .context import Context
 from .errors import CaseDispatchError, NotCompatible, NotInImage, NotSupportTauRigid
 from .homology import (TwoTermComplex, chain_maps_mod_homotopy,
                        complex_direct_sum, cone_homology, shifted_complex)
-from .modules import (Module, decompose, hstack_morphisms, kernel,
+from .modules import (Module, decompose, hom_basis, hstack_morphisms, kernel,
                       zero_module, zero_morphism)
-from .taurigid import (CObject, Key, WideSubcategory, candidate_keys, cover_in,
-                       ext_projective_ids, full_subcategory,
-                       hom_tau_vanishes, is_support_tau_rigid, keys_compatible,
-                       torsion_free_quotient)
+from .taurigid import (CObject, Homs, Key, WideSubcategory, candidate_keys, cover_in,
+                       ext_projective_ids, full_subcategory, hom_tau_vanishes,
+                       is_support_tau_rigid, strigid_positions, torsion_free_quotient)
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -59,8 +63,8 @@ def wide_of(ctx: Context, w: WideSubcategory | None, obj: CObject) -> WideSubcat
 
 def _wide_of(ctx: Context, w: WideSubcategory, obj: CObject) -> WideSubcategory:
     if not is_support_tau_rigid(ctx, w, obj):
-        raise NotSupportTauRigid(
-            f"object {obj} is not support tau-rigid in the given world")
+        raise NotSupportTauRigid(f"object {obj.describe(ctx)} is not support "
+                                 f"tau-rigid in {w.describe(ctx)}")
     return WideSubcategory(frozenset(
         x for x in w.key
         if not any(ctx.hom_dim(u, x) for u in obj.mods + obj.shifts)
@@ -74,17 +78,16 @@ def rel_presentation(ctx: Context, w: WideSubcategory, i: int) -> TwoTermComplex
 
 def _rel_presentation(ctx: Context, w: WideSubcategory, i: int) -> TwoTermComplex:
     pw = ext_projective_ids(ctx, w)
-    cover0, _ = cover_in(ctx, pw, ctx.rep(i))
+    cover0, _ = cover_in(ctx, {j: ctx.hom(j, i) for j in pw}, ctx.rep(i))
     om, om_incl = kernel(cover0)
-    cover1, _ = cover_in(ctx, pw, om)
+    cover1, _ = cover_in(ctx, {j: hom_basis(ctx.rep(j), om) for j in pw}, om)
     d = om_incl.compose(cover1)
     return TwoTermComplex(cover1.source, cover0.source, d)
 
 
-def _strip_and_register(ctx: Context, u_ids, m: Module, what: str) -> int:
-    """f_U of a module, asserted indecomposable, returned as a class id."""
-    fm = torsion_free_quotient(ctx, u_ids, m)[0] if u_ids else m
-    pieces = decompose(fm)
+def _strip_and_register(ctx: Context, m: Module, homs: Homs, what: str) -> int:
+    """f_U of a module, given Hom(U, m), asserted indecomposable, as a class id."""
+    pieces = decompose(torsion_free_quotient(m, homs)[0])
     _expect(len(pieces) == 1,
             f"{what}: torsion-free part decomposed into {len(pieces)} pieces")
     idx = ctx.id_of(pieces[0])
@@ -94,8 +97,12 @@ def _strip_and_register(ctx: Context, u_ids, m: Module, what: str) -> int:
 
 def _f_class(ctx: Context, u_ids, x: int, what: str) -> int:
     """f_U of the enumerated class x, as a class id (memoized on ids)."""
-    return ctx.cached(("f_U", frozenset(u_ids), x), _strip_and_register,
-                      ctx, u_ids, ctx.rep(x), what)
+    return ctx.cached(("f_U", frozenset(u_ids), x), _f_of_class, ctx, u_ids, x, what)
+
+
+def _f_of_class(ctx: Context, u_ids, x: int, what: str) -> int:
+    homs = {u: ctx.hom(u, x) for u in sorted(set(u_ids))}
+    return _strip_and_register(ctx, ctx.rep(x), homs, what)
 
 
 def _cone_reduction(ctx: Context, w: WideSubcategory, u_ids, target: TwoTermComplex,
@@ -122,7 +129,8 @@ def _cone_reduction(ctx: Context, w: WideSubcategory, u_ids, target: TwoTermComp
     b, h0 = cone_homology(big1, big0, total, target)
     if require_h0_zero:
         _expect(h0.is_zero, f"{what}: approximation is not surjective on degree 0")
-    return _strip_and_register(ctx, u_ids, b, what)
+    homs = {u: hom_basis(ctx.rep(u), b) for u in sorted(set(u_ids))}
+    return _strip_and_register(ctx, b, homs, what)
 
 
 def _e_module_stage(ctx: Context, w: WideSubcategory, u_ids: tuple[int, ...],
@@ -211,22 +219,20 @@ def e_map(ctx: Context, w: WideSubcategory | None, obj: CObject, x: CObject) -> 
 
 
 def e_table(ctx: Context, w: WideSubcategory | None, obj: CObject) -> dict[Key, Key]:
-    """The full value table of the reduction on compatible single summands."""
+    """The full value table of the reduction on compatible single summands.
+
+    Raises NotSupportTauRigid when obj is not support tau-rigid in W."""
     if w is None:
         w = full_subcategory(ctx)
     return ctx.cached(("etable", w.key, obj), _e_table, ctx, w, obj)
 
 
 def _e_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
-    table: dict[Key, Key] = {}
-    obj_keys = set(obj.keys())
-    for k in candidate_keys(ctx, w):
-        if k in obj_keys:
-            continue
-        if not all(keys_compatible(ctx, w, k, o) for o in obj.keys()):
-            continue
-        table[k] = e_map_key(ctx, w, obj, k)
-    return table
+    wide_of(ctx, w, obj)  # raises NotSupportTauRigid unless obj is rigid in W
+    classes = set(obj.mods + obj.shifts)
+    positions = strigid_positions(ctx, w)
+    return {k: e_map_key(ctx, w, obj, k) for k in candidate_keys(ctx, w)
+            if k[1] not in classes and CObject.from_keys(obj.keys() + [k]) in positions}
 
 
 def f_map(ctx: Context, w: WideSubcategory | None, obj: CObject, y: CObject) -> CObject:

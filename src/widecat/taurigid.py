@@ -14,6 +14,10 @@ Ext-projective of W with no maps into the module part, and the whole thing
 is determined by pairwise conditions — so enumeration is clique search in
 the compatibility graph.  That search is the only place rigidity is proved:
 `is_support_tau_rigid` is membership in the (memoized) cliques of W.
+
+The trace, the torsion-free quotient and the minimal approximations take
+their Hom bases from the caller, which reads `Context.hom` when the target
+is an enumerated class and computes them only for a module that is not.
 """
 from __future__ import annotations
 
@@ -24,12 +28,15 @@ from . import linalg
 from .arquiver import radical_hom_basis
 from .context import Context
 from .errors import NotSupportTauRigid, WidecatError
-from .modules import (Module, ModuleMorphism, cokernel, hom_basis,
-                      hstack_morphisms, submodule, zero_module, zero_morphism)
+from .modules import (Module, ModuleMorphism, cokernel, hstack_morphisms,
+                      image_span, submodule, zero_module, zero_morphism)
 
 # A summand key: ('m', class_id) for a module summand, ('s', class_id) for a
 # shifted Ext-projective summand.
 Key = tuple[str, int]
+
+# Bases of Hom(A_i, x), keyed by the source class ids i in increasing order.
+Homs = dict[int, list[ModuleMorphism]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,27 +130,14 @@ def _whole_module_category(ctx: Context) -> WideSubcategory:
 
 # -- torsion machinery ----------------------------------------------------------
 
-def trace_submodule(ctx: Context, u_ids, x: Module) -> tuple[Module, ModuleMorphism]:
-    """The trace of the classes u_ids in x: sum of images of all maps."""
-    alg = ctx.alg
-    maps: list[ModuleMorphism] = []
-    for u in sorted(set(u_ids)):
-        maps.extend(hom_basis(ctx.rep(u), x))
-    vecs = {}
-    for v in range(alg.n):
-        cols = []
-        for f in maps:
-            for c in range(f.source.dims[v]):
-                cols.append([f.mats[v][r][c] for r in range(x.dims[v])])
-        vecs[v] = [cols[k] for k in linalg.independent_columns(alg.field, [], cols)]
-    return submodule(x, vecs, "trace")
+def trace_submodule(x: Module, homs: Homs) -> tuple[Module, ModuleMorphism]:
+    """The trace of the sources of homs in x: the sum of the images of all maps."""
+    return submodule(x, image_span(x, [f for fs in homs.values() for f in fs]), "trace")
 
 
-def torsion_free_quotient(ctx: Context, u_ids, x: Module
-                          ) -> tuple[Module, ModuleMorphism]:
+def torsion_free_quotient(x: Module, homs: Homs) -> tuple[Module, ModuleMorphism]:
     """x / trace(U, x) with its projection (the functor f_U)."""
-    _, incl = trace_submodule(ctx, u_ids, x)
-    return cokernel(incl)
+    return cokernel(trace_submodule(x, homs)[1])
 
 
 # -- rigidity predicates ---------------------------------------------------------
@@ -246,7 +240,7 @@ def wide_rank(ctx: Context, w: WideSubcategory) -> int:
 
 # -- minimal approximations -------------------------------------------------------
 
-def minimal_right_approximation(ctx: Context, source_ids, x: Module
+def minimal_right_approximation(ctx: Context, homs: Homs, x: Module
                                 ) -> tuple[ModuleMorphism, list[int]]:
     """Minimal right add(sum of the sources)-approximation of x.
 
@@ -254,25 +248,23 @@ def minimal_right_approximation(ctx: Context, source_ids, x: Module
     summand ids used).  Multiplicities are read off from Hom(A_i, x) modulo
     maps factoring through the radical of add(A).
     """
-    source_ids = sorted(set(source_ids))
     fd = ctx.alg.field
-    homs = {j: hom_basis(ctx.rep(j), x) for j in source_ids}
     chosen: list[ModuleMorphism] = []
     chosen_ids: list[int] = []
-    for i in source_ids:
-        if not homs[i]:
+    for i, hi in homs.items():
+        if not hi:
             continue
         rad_vecs = []
-        for j in source_ids:
-            if not homs[j]:
+        for j, hj in homs.items():
+            if not hj:
                 continue
             for r in radical_hom_basis(ctx, i, j):
-                for g in homs[j]:
+                for g in hj:
                     vec = g.compose(r).flatten()
                     if any(t != 0 for t in vec):
                         rad_vecs.append(vec)
-        for k in linalg.independent_columns(fd, rad_vecs, [f.flatten() for f in homs[i]]):
-            chosen.append(homs[i][k])
+        for k in linalg.independent_columns(fd, rad_vecs, [f.flatten() for f in hi]):
+            chosen.append(hi[k])
             chosen_ids.append(i)
     if not chosen:
         z = zero_module(ctx.alg)
@@ -280,9 +272,9 @@ def minimal_right_approximation(ctx: Context, source_ids, x: Module
     return hstack_morphisms(chosen), chosen_ids
 
 
-def cover_in(ctx: Context, proj_ids, x: Module) -> tuple[ModuleMorphism, list[int]]:
+def cover_in(ctx: Context, homs: Homs, x: Module) -> tuple[ModuleMorphism, list[int]]:
     """Minimal right approximation required to be surjective (a relative cover)."""
-    f, ids = minimal_right_approximation(ctx, proj_ids, x)
+    f, ids = minimal_right_approximation(ctx, homs, x)
     if not f.is_surjective():
         raise WidecatError(
             "relative projective cover is not surjective; the target does "

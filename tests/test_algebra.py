@@ -1,6 +1,5 @@
 """Path algebras with relations: basis, multiplication, validation."""
 import dataclasses
-from fractions import Fraction
 
 import pytest
 

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from widecat import QuiverPresentation, build_algebra, build_context
+from widecat import QuiverPresentation, arquiver, build_algebra, build_context
 from widecat.arquiver import (almost_split_sequence, ar_quiver_dot,
                               ar_quiver_json, build_ar_quiver,
                               irreducible_multiplicity)
 from widecat.errors import InjectiveInput
 from widecat.modules import decompose
+from conftest import load_context
 
 
 def test_sequence_a2(a2_ctx, a2_ids):
@@ -117,3 +118,20 @@ def test_multiplicity_spot_checks(tri_ctx, tri_ids):
     # the radical of P2 is S3, giving an irreducible inclusion
     assert irreducible_multiplicity(tri_ctx, tri_ids["P3"], tri_ids["P2"]) == 1
     assert irreducible_multiplicity(tri_ctx, tri_ids["P3"], tri_ids["I1"]) == 0
+
+
+def test_radical_of_each_endomorphism_ring_is_computed_once(monkeypatch):
+    """rad End(X) comes from one memo entry per class, however often the
+    irreducible multiplicities ask for it."""
+    ctx = load_context("triangle.alg")
+    real = arquiver.local_radical_basis
+    calls = []
+
+    def counting(m, ends=None):
+        calls.append(ctx.id_of(m))
+        return real(m, ends)
+
+    monkeypatch.setattr(arquiver, "local_radical_basis", counting)
+    build_ar_quiver(ctx)
+    build_ar_quiver(ctx)
+    assert sorted(calls) == ctx.ind_ids()

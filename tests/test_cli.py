@@ -170,7 +170,7 @@ def test_error_exit_codes(capsys, tmp_path):
     # morphism label set that is not support tau-rigid
     code, _, err = run(capsys, "factorizations", TRI,
                        "--morphism", '["S2","I1"]')
-    assert code == 2 and "tau-rigid" in err
+    assert code == 2 and "object I1+S2 is not support tau-rigid in mod" in err
     # morphism that is not a JSON array
     code, _, err = run(capsys, "factorizations", TRI, "--morphism", '"S2"')
     assert code == 2

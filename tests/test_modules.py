@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from widecat import build_algebra
 from widecat.modules import (Module, decompose, direct_sum, hom_basis,
-                             hom_dim, image, indec_isomorphic,
-                             injective_envelope, injective_sum,
-                             is_indecomposable, is_isomorphic, kernel, cokernel,
-                             projective_cover, projective_sum, simple_module,
-                             zero_module, identity_morphism, zero_morphism)
+                             image, indec_isomorphic, injective_envelope,
+                             injective_sum, is_indecomposable, is_isomorphic,
+                             kernel, cokernel, projective_cover, projective_sum,
+                             simple_module, zero_module, identity_morphism,
+                             zero_morphism)
 from conftest import load_presentation
 
 

@@ -1,11 +1,14 @@
 """The reduction bijection E, its inverse F, and subcategory images J."""
 import pytest
 
+from widecat.category import enumerate_wide_subcategories
 from widecat.errors import NotCompatible, NotInImage, NotSupportTauRigid
 from widecat.reduction import e_map, e_map_key, e_table, f_map, wide_of
 from widecat.taurigid import (CObject, ZERO_COBJECT, candidate_keys,
                               ext_projective_ids, full_subcategory,
-                              is_support_tau_rigid, strigid_objects)
+                              is_support_tau_rigid, keys_compatible,
+                              strigid_objects)
+from conftest import load_context
 
 
 def members(w):
@@ -141,6 +144,8 @@ def test_errors(tri_ctx, tri_ids):
         wide_of(tri_ctx, None, CObject.of((S2, I1)))
     with pytest.raises(NotSupportTauRigid):
         wide_of(tri_ctx, None, CObject.of((tri_ids["I3"],)))
+    with pytest.raises(NotSupportTauRigid, match="object I1\\+S2 is not"):
+        e_table(tri_ctx, None, CObject.of((S2, I1)))
     with pytest.raises(NotCompatible):
         e_map(tri_ctx, None, u, CObject.of((I1,)))  # the union is not rigid
     with pytest.raises(NotCompatible):
@@ -162,3 +167,17 @@ def test_a2_reductions(a2_ctx, a2_ids):
 def test_preprojective_reductions(pre_ctx, pre_ids):
     assert members(wide_of(pre_ctx, None, CObject.of((pre_ids["S1"],)))) == {pre_ids["P1"]}
     assert members(wide_of(pre_ctx, None, CObject.of((pre_ids["P1"],)))) == {pre_ids["S2"]}
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "preproj_a2.alg"])
+def test_table_domain_is_the_pairwise_rule(name):
+    """A table's keys, read from the clique set, are the candidates of C(W)
+    outside the object that are compatible with each of its summands."""
+    ctx = load_context(name)
+    for w in enumerate_wide_subcategories(ctx):
+        keys = candidate_keys(ctx, w)
+        for obj in strigid_objects(ctx, w):
+            own = obj.keys()
+            expected = [k for k in keys if k not in own
+                        and all(keys_compatible(ctx, w, k, o) for o in own)]
+            assert list(e_table(ctx, w, obj)) == expected

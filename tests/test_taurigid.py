@@ -5,7 +5,7 @@ import pytest
 
 from widecat.category import enumerate_wide_subcategories
 from widecat.errors import NotSupportTauRigid, WidecatError
-from widecat.modules import decompose, hom_basis, is_isomorphic
+from widecat.modules import hom_basis, is_isomorphic
 from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
                               bongartz_complement, candidate_keys, cover_in,
                               ext_projective_ids, full_subcategory,
@@ -15,25 +15,32 @@ from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
                               strigid_objects, torsion_free_quotient,
                               trace_submodule, wide_rank)
 from widecat.verify import _link
+from conftest import load_context
+
+
+def _homs(ctx, u_ids, x):
+    """Bases of Hom(A_u, x) for the classes u_ids, in increasing order."""
+    return {u: hom_basis(ctx.rep(u), x) for u in sorted(u_ids)}
 
 
 def test_trace_and_quotient_oracles(tri_ctx, tri_ids):
     # the torsion part of (1,1,0) at S2 is S2; the free quotient is S1
     x = tri_ctx.rep(tri_ids["I2"])
-    t, incl = trace_submodule(tri_ctx, [tri_ids["S2"]], x)
+    t, incl = trace_submodule(x, _homs(tri_ctx, [tri_ids["S2"]], x))
     assert t.dims == (0, 1, 0)
     assert incl.is_injective()
-    q, proj = torsion_free_quotient(tri_ctx, [tri_ids["S2"]], x)
+    q, proj = torsion_free_quotient(x, _homs(tri_ctx, [tri_ids["S2"]], x))
     assert tri_ctx.id_of(q) == tri_ids["I1"]
     assert proj.is_surjective()
     # trace of P3 = S3 inside P2 is the socle; quotient S2
-    q2, _ = torsion_free_quotient(tri_ctx, [tri_ids["P3"]], tri_ctx.rep(tri_ids["P2"]))
+    p2 = tri_ctx.rep(tri_ids["P2"])
+    q2, _ = torsion_free_quotient(p2, _homs(tri_ctx, [tri_ids["P3"]], p2))
     assert tri_ctx.id_of(q2) == tri_ids["S2"]
 
 
 def test_quotient_is_identity_without_maps(tri_ctx, tri_ids):
     x = tri_ctx.rep(tri_ids["I1"])
-    q, proj = torsion_free_quotient(tri_ctx, [tri_ids["P3"]], x)
+    q, proj = torsion_free_quotient(x, _homs(tri_ctx, [tri_ids["P3"]], x))
     assert is_isomorphic(q, x) and proj.is_invertible()
 
 
@@ -42,14 +49,25 @@ def test_canonical_sequence_exact_everywhere(tri_ctx):
     for u in tri_ctx.ind_ids():
         for x in tri_ctx.ind_ids():
             xm = tri_ctx.rep(x)
-            t, incl = trace_submodule(tri_ctx, [u], xm)
-            q, proj = torsion_free_quotient(tri_ctx, [u], xm)
+            t, incl = trace_submodule(xm, {u: tri_ctx.hom(u, x)})
+            q, proj = torsion_free_quotient(xm, {u: tri_ctx.hom(u, x)})
             assert incl.is_injective() and proj.is_surjective()
             assert proj.compose(incl).is_zero
             for v in range(3):
                 assert t.dims[v] + q.dims[v] == xm.dims[v]
             # membership in the generated class == full trace
             assert (x in tri_ctx.gen_members(frozenset([u]))) == (t.dims == xm.dims)
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_gen_membership_is_a_surjective_approximation(name):
+    """x lies in Gen(u) exactly when its minimal add(u)-approximation is onto."""
+    ctx = load_context(name)
+    for u in ctx.ind_ids():
+        gen = ctx.gen_members(frozenset([u]))
+        for x in ctx.ind_ids():
+            f, _ = minimal_right_approximation(ctx, {u: ctx.hom(u, x)}, ctx.rep(x))
+            assert (x in gen) == f.is_surjective()
 
 
 def test_gen_members_oracle(tri_ctx, tri_ids):
@@ -143,11 +161,12 @@ def test_ext_projectives(tri_ctx, tri_ids, a2_ctx, a2_ids):
 
 def test_minimal_right_approximation(tri_ctx, tri_ids):
     x = tri_ctx.rep(tri_ids["I2"])
-    f, used = minimal_right_approximation(tri_ctx, [tri_ids["P1"]], x)
+    f, used = minimal_right_approximation(tri_ctx, _homs(tri_ctx, [tri_ids["P1"]], x), x)
     assert used == [tri_ids["P1"]]
     assert f.is_surjective()
     # no maps at all: the approximation is from the zero module
-    f0, used0 = minimal_right_approximation(tri_ctx, [tri_ids["P3"]], tri_ctx.rep(tri_ids["I1"]))
+    i1 = tri_ctx.rep(tri_ids["I1"])
+    f0, used0 = minimal_right_approximation(tri_ctx, _homs(tri_ctx, [tri_ids["P3"]], i1), i1)
     assert used0 == [] and f0.source.is_zero
     # approximation property: every map from the source class factors through f
     from widecat import linalg
@@ -160,11 +179,11 @@ def test_minimal_right_approximation(tri_ctx, tri_ids):
 
 
 def test_cover_in_requires_membership(a2_ctx, a2_ids):
-    covered, used = cover_in(a2_ctx, [a2_ids["P1"], a2_ids["P2"]],
-                             a2_ctx.rep(a2_ids["I1"]))
+    i1, p2 = a2_ctx.rep(a2_ids["I1"]), a2_ctx.rep(a2_ids["P2"])
+    covered, used = cover_in(a2_ctx, _homs(a2_ctx, [a2_ids["P1"], a2_ids["P2"]], i1), i1)
     assert covered.is_surjective()
     with pytest.raises(WidecatError):
-        cover_in(a2_ctx, [a2_ids["I1"]], a2_ctx.rep(a2_ids["P2"]))
+        cover_in(a2_ctx, _homs(a2_ctx, [a2_ids["I1"]], p2), p2)
 
 
 def test_bongartz_complements(tri_ctx, tri_ids, a2_ctx, a2_ids):
