@@ -132,7 +132,7 @@ def irreducible_multiplicity(ctx, i: int, j: int) -> int:
                 vec = g.compose(h).flatten()
                 if any(x != 0 for x in vec):
                     sq.append(vec)
-    return len(rad) - len(linalg.row_space_reduce(fd, sq))
+    return len(rad) - linalg.rank(fd, sq)
 
 
 def build_ar_quiver(ctx) -> ARQuiver:

@@ -175,12 +175,13 @@ def _cmd_sequences(args) -> int:
     _, ctx = _load(args)
     if args.length < 0:
         raise InputError("--length must be nonnegative")
+    full = full_subcategory(ctx)
     if args.verb == "count":
-        n = count_signed_sequences(ctx, None, args.length)
+        n = count_signed_sequences(ctx, full, args.length)
         _emit(fmt, {"length": args.length, "count": n}, [n])
         return 0
     seqs = [[e.describe(ctx) for e in seq]
-            for seq in enumerate_signed_sequences(ctx, None, args.length)]
+            for seq in enumerate_signed_sequences(ctx, full, args.length)]
     _emit(fmt, {"length": args.length, "sequences": seqs},
           ("(" + ", ".join(seq) + ")" for seq in seqs), len(seqs))
     return 0

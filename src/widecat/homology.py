@@ -352,7 +352,7 @@ def shifted_hom_dim(c: TwoTermComplex, d: TwoTermComplex) -> int:
     for g in hom_basis(c.p0, d.p0):
         boundary.append(g.compose(c.d).flatten())
     boundary = [b for b in boundary if any(x != 0 for x in b)]
-    return len(full) - len(linalg.row_space_reduce(fd, boundary))
+    return len(full) - linalg.rank(fd, boundary)
 
 
 def cone_homology(f1: ModuleMorphism, f0: ModuleMorphism,

@@ -205,15 +205,6 @@ def solve_matrix(field: FieldSpec, m: list[list], b: list[list], cols: int,
     return x
 
 
-def column_space_basis(field: FieldSpec, m: list[list]) -> list[list]:
-    """Deterministic basis of the column space, as column vectors."""
-    rows, cols = shape(m)
-    if rows == 0 or cols == 0:
-        return []
-    _, pivots = rref(field, m)
-    return [[m[i][c] for i in range(rows)] for c in pivots]
-
-
 def row_space_reduce(field: FieldSpec, vectors: list[list]) -> list[list]:
     """Echelonized basis of the span of the given vectors (rows)."""
     if not vectors:

@@ -416,10 +416,7 @@ def factor_through_inclusion(incl: ModuleMorphism, g: ModuleMorphism) -> ModuleM
 
 def image(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     """(I, inclusion I -> target)."""
-    alg = f.source.alg
-    fd = alg.field
-    cols = {v: linalg.column_space_basis(fd, f.mats[v]) for v in range(alg.n)}
-    return submodule(f.target, cols, "image")
+    return submodule(f.target, image_span(f.target, [f]), "image")
 
 
 def image_span(target: Module, maps: list[ModuleMorphism]) -> dict[int, list[list]]:
@@ -440,12 +437,13 @@ def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
     """(C, projection target -> C)."""
     alg = f.source.alg
     fd = alg.field
+    span = image_span(f.target, [f])
     projs = {}
     sections = {}
     dims = []
     for v in range(alg.n):
         d = f.target.dims[v]
-        img_cols = linalg.column_space_basis(fd, f.mats[v])
+        img_cols = span[v]
         comp = linalg.complement_basis(fd, img_cols, d)
         dims.append(len(comp))
         t = linalg.transpose(img_cols + comp)  # d x d, invertible

@@ -33,8 +33,8 @@ The cone route tolerates non-minimal approximations: a surplus summand that
 factors through the rest contributes only add(U) pieces to the degree -1
 homology, and the torsion-free quotient deletes those.  Every case asserts
 its postconditions (indecomposable outputs landing in the reduced world) and
-raises CaseDispatchError when they fail, so a wrong branch can never return
-a plausible-looking value silently.
+raises CaseDispatchError, naming W, the object and the summand, when they
+fail, so a wrong branch can never return a plausible-looking value silently.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .homology import (TwoTermComplex, chain_maps_mod_homotopy,
 from .modules import (Module, decompose, hom_basis, hstack_morphisms, kernel,
                       zero_module, zero_morphism)
 from .taurigid import (CObject, Homs, Key, WideSubcategory, candidate_keys, cover_in,
-                       ext_projective_ids, full_subcategory, hom_tau_vanishes,
+                       ext_projective_ids, hom_tau_vanishes,
                        is_support_tau_rigid, strigid_positions, torsion_free_quotient)
 
 
@@ -54,10 +54,8 @@ def _expect(cond: bool, msg: str) -> None:
         raise CaseDispatchError(msg)
 
 
-def wide_of(ctx: Context, w: WideSubcategory | None, obj: CObject) -> WideSubcategory:
+def wide_of(ctx: Context, w: WideSubcategory, obj: CObject) -> WideSubcategory:
     """The wide subcategory of W attached to a support tau-rigid object."""
-    if w is None:
-        w = full_subcategory(ctx)
     return ctx.cached(("wide_of", w.key, obj), _wide_of, ctx, w, obj)
 
 
@@ -105,9 +103,11 @@ def _f_of_class(ctx: Context, u_ids, x: int, what: str) -> int:
     return _strip_and_register(ctx, ctx.rep(x), homs, what)
 
 
-def _cone_reduction(ctx: Context, w: WideSubcategory, u_ids, target: TwoTermComplex,
-                    require_h0_zero: bool, what: str) -> int:
-    """Common core of cases I(b) and I(c): approximate, cone, strip, shift."""
+def _cone_reduction(ctx: Context, w: WideSubcategory, w1: WideSubcategory, u_ids,
+                    target: TwoTermComplex, require_h0_zero: bool, what: str) -> int:
+    """Common core of cases I(b) and I(c): approximate, cone, strip, shift.
+
+    The result is asserted Ext-projective in w1, the world U cuts out of W."""
     sources: list[TwoTermComplex] = []
     maps1 = []
     maps0 = []
@@ -130,7 +130,10 @@ def _cone_reduction(ctx: Context, w: WideSubcategory, u_ids, target: TwoTermComp
     if require_h0_zero:
         _expect(h0.is_zero, f"{what}: approximation is not surjective on degree 0")
     homs = {u: hom_basis(ctx.rep(u), b) for u in sorted(set(u_ids))}
-    return _strip_and_register(ctx, b, homs, what)
+    idx = _strip_and_register(ctx, b, homs, what)
+    _expect(idx in set(ext_projective_ids(ctx, w1)),
+            f"{what}: result is not Ext-projective in the reduced world")
+    return idx
 
 
 def _e_module_stage(ctx: Context, w: WideSubcategory, u_ids: tuple[int, ...],
@@ -144,20 +147,14 @@ def _e_module_stage(ctx: Context, w: WideSubcategory, u_ids: tuple[int, ...],
         if x in ctx.gen_members(frozenset(u_ids)):
             # I(b): generated by U; two-term cone, result is shifted
             target = rel_presentation(ctx, w, x)
-            idx = _cone_reduction(ctx, w, u_ids, target, True, "case I(b)")
-            _expect(idx in set(ext_projective_ids(ctx, w1)),
-                    "case I(b): result is not Ext-projective in the reduced world")
-            return ("s", idx)
+            return ("s", _cone_reduction(ctx, w, w1, u_ids, target, True, "case I(b)"))
         # I(a): plain torsion-free quotient
         idx = _f_class(ctx, u_ids, x, "case I(a)")
         _expect(idx in w1.members, "case I(a): result left the reduced world")
         return ("m", idx)
     # I(c): shifted summand, cone against (Q -> 0)
     target = shifted_complex(ctx.rep(x))
-    idx = _cone_reduction(ctx, w, u_ids, target, False, "case I(c)")
-    _expect(idx in set(ext_projective_ids(ctx, w1)),
-            "case I(c): result is not Ext-projective in the reduced world")
-    return ("s", idx)
+    return ("s", _cone_reduction(ctx, w, w1, u_ids, target, False, "case I(c)"))
 
 
 def _e_shift_stage(ctx: Context, w1: WideSubcategory, q_ids: tuple[int, ...],
@@ -175,34 +172,42 @@ def _e_shift_stage(ctx: Context, w1: WideSubcategory, q_ids: tuple[int, ...],
     return ("s", idx)
 
 
-def e_map_key(ctx: Context, w: WideSubcategory | None, obj: CObject, key: Key) -> Key:
-    """The reduction bijection on a single summand key."""
-    if w is None:
-        w = full_subcategory(ctx)
-    if obj.mods and obj.shifts:
-        # E along U + Q[1] is E along E_U(Q[1]) after E along U: read both
-        # E_U values from U's table instead of recomputing them per key
-        u_table = e_table(ctx, w, CObject.of(obj.mods))
-        stage1 = u_table[key]
-        q_ids = tuple(u_table[("s", p)][1] for p in obj.shifts)
-    else:
-        stage1 = _e_module_stage(ctx, w, obj.mods, key)
-        q_ids = obj.shifts
-    w1 = wide_of(ctx, w, CObject.of(obj.mods))
-    out = _e_shift_stage(ctx, w1, q_ids, stage1)
-    w_final = wide_of(ctx, w, obj)
-    if out[0] == "m":
-        _expect(out[1] in w_final.members, "reduction image left the target world")
-    else:
-        _expect(out[1] in set(ext_projective_ids(ctx, w_final)),
-                "reduction image is not supported in the target world")
-    return out
+def e_map_key(ctx: Context, w: WideSubcategory, obj: CObject, key: Key) -> Key:
+    """The reduction bijection on a single summand key.
+
+    A failed postcondition of any stage is re-raised naming W, the object
+    and the summand by their labels."""
+    try:
+        if obj.mods and obj.shifts:
+            # E along U + Q[1] is E along E_U(Q[1]) after E along U: read both
+            # E_U values from U's table instead of recomputing them per key
+            u_table = e_table(ctx, w, CObject.of(obj.mods))
+            stage1 = u_table[key]
+            q_ids = tuple(u_table[("s", p)][1] for p in obj.shifts)
+        else:
+            stage1 = _e_module_stage(ctx, w, obj.mods, key)
+            q_ids = obj.shifts
+        w1 = wide_of(ctx, w, CObject.of(obj.mods))
+        out = _e_shift_stage(ctx, w1, q_ids, stage1)
+        w_final = wide_of(ctx, w, obj)
+        if out[0] == "m":
+            _expect(out[1] in w_final.members, "reduction image left the target world")
+        else:
+            _expect(out[1] in set(ext_projective_ids(ctx, w_final)),
+                    "reduction image is not supported in the target world")
+        return out
+    except CaseDispatchError as exc:
+        raise CaseDispatchError(
+            f"reducing {_key_label(ctx, key)} by {obj.describe(ctx)} in "
+            f"{w.describe(ctx)}: {exc}") from exc
 
 
-def e_map(ctx: Context, w: WideSubcategory | None, obj: CObject, x: CObject) -> CObject:
+def _key_label(ctx: Context, key: Key) -> str:
+    return CObject.from_keys([key]).describe(ctx)
+
+
+def e_map(ctx: Context, w: WideSubcategory, obj: CObject, x: CObject) -> CObject:
     """E applied summand-wise to a compatible support tau-rigid object."""
-    if w is None:
-        w = full_subcategory(ctx)
     try:
         union = obj.union(x)
     except NotSupportTauRigid as exc:
@@ -218,12 +223,10 @@ def e_map(ctx: Context, w: WideSubcategory | None, obj: CObject, x: CObject) -> 
     return out
 
 
-def e_table(ctx: Context, w: WideSubcategory | None, obj: CObject) -> dict[Key, Key]:
+def e_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
     """The full value table of the reduction on compatible single summands.
 
     Raises NotSupportTauRigid when obj is not support tau-rigid in W."""
-    if w is None:
-        w = full_subcategory(ctx)
     return ctx.cached(("etable", w.key, obj), _e_table, ctx, w, obj)
 
 
@@ -235,10 +238,8 @@ def _e_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
             if k[1] not in classes and CObject.from_keys(obj.keys() + [k]) in positions}
 
 
-def f_map(ctx: Context, w: WideSubcategory | None, obj: CObject, y: CObject) -> CObject:
+def f_map(ctx: Context, w: WideSubcategory, obj: CObject, y: CObject) -> CObject:
     """The inverse bijection: summands of C(J_W(obj)) pulled back to C(W)."""
-    if w is None:
-        w = full_subcategory(ctx)
     return CObject.from_keys(f_map_keys(ctx, w, obj, y.keys()))
 
 
@@ -248,7 +249,8 @@ def f_map_keys(ctx: Context, w: WideSubcategory, obj: CObject, keys) -> list[Key
     for k in keys:
         if k not in inverse:
             raise NotInImage(
-                f"summand {k} is not a reduction image for the given object")
+                f"summand {_key_label(ctx, k)} is not a reduction image for "
+                f"{obj.describe(ctx)} in {w.describe(ctx)}")
     return [inverse[k] for k in keys]
 
 

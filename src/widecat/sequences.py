@@ -27,17 +27,11 @@ from .context import Context
 from .errors import NotExceptional, WidecatError
 from .reduction import e_table, f_map_keys, wide_of
 from .taurigid import (CObject, Key, WideSubcategory, candidate_keys,
-                       full_subcategory, is_support_tau_rigid, strigid_objects)
+                       is_support_tau_rigid, strigid_objects)
 
 
-def _as_world(ctx: Context, w: WideSubcategory | None) -> WideSubcategory:
-    return w if w is not None else full_subcategory(ctx)
-
-
-def is_signed_tau_exceptional(ctx: Context, w: WideSubcategory | None,
-                              entries) -> bool:
+def is_signed_tau_exceptional(ctx: Context, w: WideSubcategory, entries) -> bool:
     """Recursive membership test; entries are single-summand objects."""
-    w = _as_world(ctx, w)
     entries = tuple(entries)
     if not entries:
         return True
@@ -47,10 +41,9 @@ def is_signed_tau_exceptional(ctx: Context, w: WideSubcategory | None,
     return is_signed_tau_exceptional(ctx, wide_of(ctx, w, last), entries[:-1])
 
 
-def enumerate_signed_sequences(ctx: Context, w: WideSubcategory | None,
+def enumerate_signed_sequences(ctx: Context, w: WideSubcategory,
                                length: int) -> list[tuple[CObject, ...]]:
     """All signed sequences of the given length, deterministically ordered."""
-    w = _as_world(ctx, w)
     if length == 0:
         return [()]
     out = []
@@ -62,10 +55,8 @@ def enumerate_signed_sequences(ctx: Context, w: WideSubcategory | None,
     return out
 
 
-def count_signed_sequences(ctx: Context, w: WideSubcategory | None,
-                           length: int) -> int:
+def count_signed_sequences(ctx: Context, w: WideSubcategory, length: int) -> int:
     """The number of signed sequences, counted without listing them."""
-    w = _as_world(ctx, w)
     if length == 0:
         return 1
     return sum(count_signed_sequences(
@@ -73,10 +64,9 @@ def count_signed_sequences(ctx: Context, w: WideSubcategory | None,
         for k in candidate_keys(ctx, w))
 
 
-def ordered_strigid_objects(ctx: Context, w: WideSubcategory | None,
+def ordered_strigid_objects(ctx: Context, w: WideSubcategory,
                             length: int) -> list[tuple[CObject, ...]]:
     """Orderings of the summands of basic support tau-rigid objects."""
-    w = _as_world(ctx, w)
     out = []
     for obj in strigid_objects(ctx, w):
         if obj.delta != length:
@@ -96,9 +86,8 @@ def _canonical(ctx: Context, keys) -> tuple[Key, ...]:
     return tuple(singles[k][0] for k in keys)
 
 
-def phi(ctx: Context, w: WideSubcategory | None, entries) -> tuple[CObject, ...]:
+def phi(ctx: Context, w: WideSubcategory, entries) -> tuple[CObject, ...]:
     """Sequence -> ordered object: pull entries back to C(W) and keep order."""
-    w = _as_world(ctx, w)
     entries = tuple(entries)
     if any(e.delta != 1 for e in entries):
         raise NotExceptional("entries of a signed sequence must be indecomposable")
@@ -125,10 +114,8 @@ def _phi(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
     return out
 
 
-def phi_inverse(ctx: Context, w: WideSubcategory | None,
-                ordered) -> tuple[CObject, ...]:
+def phi_inverse(ctx: Context, w: WideSubcategory, ordered) -> tuple[CObject, ...]:
     """Ordered object -> sequence: reduce the earlier summands by the last."""
-    w = _as_world(ctx, w)
     ordered = tuple(ordered)
     if any(v.delta != 1 for v in ordered):
         raise NotExceptional("entries of an ordered object must be indecomposable")

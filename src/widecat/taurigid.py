@@ -142,9 +142,9 @@ def torsion_free_quotient(x: Module, homs: Homs) -> tuple[Module, ModuleMorphism
 
 # -- rigidity predicates ---------------------------------------------------------
 
-def hom_tau_vanishes(ctx: Context, w: WideSubcategory | None, i: int, j: int) -> bool:
+def hom_tau_vanishes(ctx: Context, w: WideSubcategory, i: int, j: int) -> bool:
     """Hom_W(X_i, tau_W X_j) = 0, via the Ext-Gen translation for proper W."""
-    if w is None or len(w.members) == ctx.ind_count():
+    if len(w.members) == ctx.ind_count():
         t = ctx.tau(j)
         return t is None or ctx.hom_dim(i, t) == 0
     gen = ctx.gen_members(frozenset([i])) & w.members
@@ -160,7 +160,7 @@ def _ext_projectives(ctx: Context, w: WideSubcategory) -> tuple[int, ...]:
     return tuple(i for i in w.key if all(ctx.ext1(i, j) == 0 for j in w.key))
 
 
-def keys_compatible(ctx: Context, w: WideSubcategory | None, a: Key, b: Key) -> bool:
+def keys_compatible(ctx: Context, w: WideSubcategory, a: Key, b: Key) -> bool:
     """Can the two summands coexist in one support tau-rigid object of C(W)?"""
     (ka, ia), (kb, ib) = a, b
     if ka == "m" and kb == "m":
@@ -184,10 +184,8 @@ def candidate_keys(ctx: Context, w: WideSubcategory) -> list[Key]:
     return keys
 
 
-def is_support_tau_rigid(ctx: Context, w: WideSubcategory | None, obj: CObject) -> bool:
+def is_support_tau_rigid(ctx: Context, w: WideSubcategory, obj: CObject) -> bool:
     """Membership in the clique set of C(W) (see `strigid_objects`)."""
-    if w is None:
-        w = full_subcategory(ctx)
     return obj in strigid_positions(ctx, w)
 
 
@@ -287,8 +285,9 @@ def cover_in(ctx: Context, homs: Homs, x: Module) -> tuple[ModuleMorphism, list[
 def perp_tau_members(ctx: Context, u_ids) -> frozenset[int]:
     """{X : Hom(X, tau U) = 0}, the Bongartz torsion class of a tau-rigid U."""
     u_ids = sorted(set(u_ids))
+    full = full_subcategory(ctx)
     return frozenset(x for x in ctx.ind_ids()
-                     if all(hom_tau_vanishes(ctx, None, x, u) for u in u_ids))
+                     if all(hom_tau_vanishes(ctx, full, x, u) for u in u_ids))
 
 
 def bongartz_complement(ctx: Context, u_ids) -> tuple[int, ...]:

@@ -151,9 +151,10 @@ def _suite_homological(ctx: Context, rep: VerificationReport) -> None:
 def _suite_bijection(ctx: Context, rep: VerificationReport) -> None:
     """The reduction is a summand-count-preserving bijection, for every object."""
     link = _link(ctx)
-    for u in strigid_objects(ctx, full_subcategory(ctx)):
-        w1 = wide_of(ctx, None, u)
-        table = e_table(ctx, None, u)
+    full = full_subcategory(ctx)
+    for u in strigid_objects(ctx, full):
+        w1 = wide_of(ctx, full, u)
+        table = e_table(ctx, full, u)
         at = f"reducing by {u.describe(ctx)}"
         values = list(table.values())
         rep.check("summand-map-injective", len(set(values)) == len(values),
@@ -218,17 +219,18 @@ def _build_link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
 def _suite_composition(ctx: Context, rep: VerificationReport) -> None:
     """Reducing in two steps reaches the same wide subcategory as one step."""
     link = _link(ctx)
-    for u in strigid_objects(ctx, full_subcategory(ctx)):
+    full = full_subcategory(ctx)
+    for u in strigid_objects(ctx, full):
         for v in link[u]:
             at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
             lhs = rep.attempt(
                 "two-step-target-matches",
-                lambda: wide_of(ctx, wide_of(ctx, None, u),
-                                _image(e_table(ctx, None, u), v)),
+                lambda: wide_of(ctx, wide_of(ctx, full, u),
+                                _image(e_table(ctx, full, u), v)),
                 lambda: f"{at}: two-step target")
             if lhs is None:
                 continue
-            rhs = wide_of(ctx, None, u.union(v))
+            rhs = wide_of(ctx, full, u.union(v))
             rep.check("two-step-target-matches",
                       lhs.members == rhs.members,
                       lambda: f"{at}: two-step target {_members(ctx, lhs)} vs "
@@ -238,9 +240,10 @@ def _suite_composition(ctx: Context, rep: VerificationReport) -> None:
 def _suite_associativity(ctx: Context, rep: VerificationReport) -> None:
     """Reducing by u then by the image of v equals reducing by u + v."""
     link = _link(ctx)
-    for u in strigid_objects(ctx, full_subcategory(ctx)):
-        w1 = wide_of(ctx, None, u)
-        t1 = e_table(ctx, None, u)
+    full = full_subcategory(ctx)
+    for u in strigid_objects(ctx, full):
+        w1 = wide_of(ctx, full, u)
+        t1 = e_table(ctx, full, u)
         for v in link[u]:
             at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
             t2 = rep.attempt("stepwise-image-defined",
@@ -249,7 +252,7 @@ def _suite_associativity(ctx: Context, rep: VerificationReport) -> None:
             if t2 is None:
                 continue
             uv = u.union(v)
-            tuv = e_table(ctx, None, uv)
+            tuv = e_table(ctx, full, uv)
             for x in link[uv]:
                 images = rep.attempt(
                     "stepwise-image-defined",
@@ -355,7 +358,7 @@ def _suite_dirrt(ctx: Context, rep: VerificationReport) -> None:
     images: dict[tuple, CObject] = {}
     for t in maximal:
         _, nonsplit = split_projective_part(ctx, t.mods)
-        j = wide_of(ctx, None, CObject.of(nonsplit))
+        j = wide_of(ctx, full, CObject.of(nonsplit))
         members = {x for x in j.members
                    if all(ctx.hom_dim(p, x) == 0 for p in t.shifts)}
         key = tuple(sorted(members))

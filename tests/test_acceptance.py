@@ -183,9 +183,9 @@ def test_criterion_08_corank_one_hom_counts(ctxs, capsys):
                 assert n == expected, (name, w1.members, w2.members, n)
                 checked += 1
         # distinct rigid indecomposable modules have distinct images
-        mods = [k[1] for k in candidate_keys(ctx, full_subcategory(ctx))
-                if k[0] == "m"]
-        images = [wide_of(ctx, None, CObject.of((i,))).members for i in mods]
+        full = full_subcategory(ctx)
+        mods = [k[1] for k in candidate_keys(ctx, full) if k[0] == "m"]
+        images = [wide_of(ctx, full, CObject.of((i,))).members for i in mods]
         assert len(set(images)) == len(images)
     announce(capsys, 8, f"{checked} corank-1 inclusions: |Hom| = 2 exactly "
                         f"at Ext-projective images, else 1; module-image "
@@ -215,7 +215,8 @@ def test_criterion_09_counting(ctxs, capsys):
                 n_seq = count_signed_sequences(ctx, w, t)
                 assert n_seq == len(ordered_strigid_objects(ctx, w, t))
                 pairs += 1
-    assert count_signed_sequences(ctxs["triangle"], None, 3) == 108
+    tri = ctxs["triangle"]
+    assert count_signed_sequences(tri, full_subcategory(tri), 3) == 108
     announce(capsys, 9, f"5 wide subcategories over the path algebra of A2; "
                         f"delta! factorizations on {morphs} morphisms; "
                         f"sequence counts match on {pairs} (W,t) pairs")
@@ -315,7 +316,7 @@ def test_criterion_10_graph_reproduction(ctxs, capsys):
                             edge_match=edge_match)
 
     # concrete spot check: the image of S2 and its dimension vectors
-    js2 = wide_of(ctx, None, CObject.of((ids["S2"],)))
+    js2 = wide_of(ctx, full_subcategory(ctx), CObject.of((ids["S2"],)))
     assert {ctx.dims(i) for i in js2.members} == {(1, 0, 0), (0, 1, 1),
                                                   (1, 1, 1)}
     # doubled exactly at Ext-projective labels, for every exported edge

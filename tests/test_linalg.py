@@ -51,8 +51,7 @@ class TestBasics:
 
     def test_column_space_and_row_span(self, fd):
         m = [[fd.of(1), fd.of(2)], [fd.of(2), fd.of(4)]]
-        cols = linalg.column_space_basis(fd, m)
-        assert len(cols) == 1
+        assert linalg.independent_columns(fd, [], linalg.transpose(m)) == [0]
         basis = linalg.row_space_reduce(fd, [[fd.of(1), fd.of(2)]])
         assert linalg.in_row_span(fd, basis, [fd.of(2), fd.of(4)])
         assert not linalg.in_row_span(fd, basis, [fd.of(1), fd.of(0)])

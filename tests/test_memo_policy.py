@@ -33,6 +33,7 @@ def test_memo_kinds_after_every_suite_are_the_documented_set():
 
 def test_a_failing_computation_is_not_stored():
     ctx = load_context("triangle.alg")
+    full = full_subcategory(ctx)
 
     def fail():
         raise ValueError("no")
@@ -42,11 +43,11 @@ def test_a_failing_computation_is_not_stored():
             ctx.cached(("probe",), fail)
     assert ("probe",) not in ctx.memo
     bad = next(CObject.of((i, j)) for i in ctx.ind_ids() for j in ctx.ind_ids()
-               if i < j and not is_support_tau_rigid(ctx, None, CObject.of((i, j))))
+               if i < j and not is_support_tau_rigid(ctx, full, CObject.of((i, j))))
     for _ in range(2):
         with pytest.raises(NotSupportTauRigid):
-            wide_of(ctx, None, bad)
-    assert ("wide_of", full_subcategory(ctx).key, bad) not in ctx.memo
+            wide_of(ctx, full, bad)
+    assert ("wide_of", full.key, bad) not in ctx.memo
 
 
 def test_only_the_context_touches_the_memo():

@@ -27,44 +27,49 @@ def a2_labels(a2_ids):
 
 
 def test_membership(a2_ctx, a2_labels):
+    full = full_subcategory(a2_ctx)
     lb = a2_labels
-    assert is_signed_tau_exceptional(a2_ctx, None, (lb["mS1"], lb["mS2"]))
-    assert is_signed_tau_exceptional(a2_ctx, None, (lb["mS1"], lb["sS2"]))
-    assert not is_signed_tau_exceptional(a2_ctx, None, (lb["mS2"], lb["mS2"]))
-    assert is_signed_tau_exceptional(a2_ctx, None, ())
+    assert is_signed_tau_exceptional(a2_ctx, full, (lb["mS1"], lb["mS2"]))
+    assert is_signed_tau_exceptional(a2_ctx, full, (lb["mS1"], lb["sS2"]))
+    assert not is_signed_tau_exceptional(a2_ctx, full, (lb["mS2"], lb["mS2"]))
+    assert is_signed_tau_exceptional(a2_ctx, full, ())
 
 
 def test_phi_oracles(a2_ctx, a2_labels):
+    full = full_subcategory(a2_ctx)
     lb = a2_labels
-    assert phi(a2_ctx, None, (lb["mS1"], lb["mS2"])) == (lb["mP1"], lb["mS2"])
-    assert phi(a2_ctx, None, (lb["mS1"], lb["sS2"])) == (lb["mS1"], lb["sS2"])
-    assert phi(a2_ctx, None, (lb["mS1"],)) == (lb["mS1"],)
+    assert phi(a2_ctx, full, (lb["mS1"], lb["mS2"])) == (lb["mP1"], lb["mS2"])
+    assert phi(a2_ctx, full, (lb["mS1"], lb["sS2"])) == (lb["mS1"], lb["sS2"])
+    assert phi(a2_ctx, full, (lb["mS1"],)) == (lb["mS1"],)
 
 
 def test_phi_rejects_non_sequences(a2_ctx, a2_ids, a2_labels):
+    full = full_subcategory(a2_ctx)
     with pytest.raises(NotExceptional):
-        phi(a2_ctx, None, (a2_labels["mS2"], a2_labels["mS2"]))
+        phi(a2_ctx, full, (a2_labels["mS2"], a2_labels["mS2"]))
     with pytest.raises(NotExceptional):
-        phi_inverse(a2_ctx, None,
+        phi_inverse(a2_ctx, full,
                     (CObject.of((a2_ids["P1"], a2_ids["P2"])),
                      a2_labels["mS1"]))
 
 
 def test_invalid_input_raises_on_every_call(a2_ctx, a2_labels):
     """Failures are not memoized: a repeated bad call raises again."""
+    full = full_subcategory(a2_ctx)
     bad_seq = (a2_labels["mS2"], a2_labels["mS2"])
     bad_ordered = (a2_labels["mS1"], a2_labels["mS2"])  # tau S1 = S2
     for _ in range(2):
         with pytest.raises(NotExceptional):
-            phi(a2_ctx, None, bad_seq)
+            phi(a2_ctx, full, bad_seq)
         with pytest.raises(NotExceptional):
-            phi_inverse(a2_ctx, None, bad_ordered)
+            phi_inverse(a2_ctx, full, bad_ordered)
 
 
 def test_phi_checks_each_entry_it_computes(a2_ctx, a2_ids, a2_labels):
     """A one-entry sequence outside a proper world, and an entry of two
     summands, are rejected on every call."""
-    w = wide_of(a2_ctx, None, a2_labels["mS1"])
+    full = full_subcategory(a2_ctx)
+    w = wide_of(a2_ctx, full, a2_labels["mS1"])
     outside = next(CObject.of((i,)) for i in a2_ctx.ind_ids()
                    if i not in w.members)
     two = CObject.of((a2_ids["P1"], a2_ids["P2"]))
@@ -72,29 +77,31 @@ def test_phi_checks_each_entry_it_computes(a2_ctx, a2_ids, a2_labels):
         with pytest.raises(NotExceptional):
             phi(a2_ctx, w, (outside,))
         with pytest.raises(NotExceptional):
-            phi(a2_ctx, None, (two,))
+            phi(a2_ctx, full, (two,))
     inside = CObject.of((min(w.members),))
     assert phi(a2_ctx, w, (inside,)) == (inside,)
 
 
 def test_round_trips_and_counts_a2(a2_ctx):
+    full = full_subcategory(a2_ctx)
     expected = {0: 1, 1: 5, 2: 10}
     for t in range(0, 3):
-        seqs = enumerate_signed_sequences(a2_ctx, None, t)
-        ords = ordered_strigid_objects(a2_ctx, None, t)
+        seqs = enumerate_signed_sequences(a2_ctx, full, t)
+        ords = ordered_strigid_objects(a2_ctx, full, t)
         assert len(seqs) == len(ords) == expected[t]
-        assert count_signed_sequences(a2_ctx, None, t) == expected[t]
+        assert count_signed_sequences(a2_ctx, full, t) == expected[t]
         for s in seqs:
-            assert phi_inverse(a2_ctx, None, phi(a2_ctx, None, s)) == s
+            assert phi_inverse(a2_ctx, full, phi(a2_ctx, full, s)) == s
         for o in ords:
-            assert phi(a2_ctx, None, phi_inverse(a2_ctx, None, o)) == o
+            assert phi(a2_ctx, full, phi_inverse(a2_ctx, full, o)) == o
 
 
 def test_counts_triangle(tri_ctx):
+    full = full_subcategory(tri_ctx)
     expected = {0: 1, 1: 11, 2: 54, 3: 108}
     for t in range(0, 4):
-        n_seq = count_signed_sequences(tri_ctx, None, t)
-        assert n_seq == len(ordered_strigid_objects(tri_ctx, None, t))
+        n_seq = count_signed_sequences(tri_ctx, full, t)
+        assert n_seq == len(ordered_strigid_objects(tri_ctx, full, t))
         assert n_seq == expected[t]
 
 
@@ -153,7 +160,7 @@ def test_factorization_chains_triangle(tri_ctx, tri_ids):
 
 def test_sequences_relative_to_a_smaller_world(tri_ctx, tri_ids):
     from widecat.reduction import wide_of
-    w = wide_of(tri_ctx, None, CObject.of((tri_ids["S2"],)))
+    w = wide_of(tri_ctx, full_subcategory(tri_ctx), CObject.of((tri_ids["S2"],)))
     seqs = enumerate_signed_sequences(tri_ctx, w, 1)
     # five: each of the two Ext-projectives twice (module and shift), the
     # non-projective member once

@@ -77,14 +77,15 @@ def test_gen_members_oracle(tri_ctx, tri_ids):
 
 
 def test_support_rigidity_oracles(tri_ctx, tri_ids):
+    full = full_subcategory(tri_ctx)
     S2, P3, I2, I1 = (tri_ids[k] for k in ("S2", "P3", "I2", "I1"))
     P2 = tri_ids["P2"]
-    assert is_support_tau_rigid(tri_ctx, None, CObject.of((S2,), (P3,)))
+    assert is_support_tau_rigid(tri_ctx, full, CObject.of((S2,), (P3,)))
     # the shifted part must avoid maps into the module part: Hom(P2, S2) != 0
-    assert not is_support_tau_rigid(tri_ctx, None, CObject.of((S2,), (P2,)))
-    assert is_support_tau_rigid(tri_ctx, None, CObject.of((S2, I2)))
-    assert not is_support_tau_rigid(tri_ctx, None, CObject.of((S2, I1)))
-    assert is_support_tau_rigid(tri_ctx, None, ZERO_COBJECT)
+    assert not is_support_tau_rigid(tri_ctx, full, CObject.of((S2,), (P2,)))
+    assert is_support_tau_rigid(tri_ctx, full, CObject.of((S2, I2)))
+    assert not is_support_tau_rigid(tri_ctx, full, CObject.of((S2, I1)))
+    assert is_support_tau_rigid(tri_ctx, full, ZERO_COBJECT)
     # a repeated summand is rejected at construction: objects are basic
     with pytest.raises(NotSupportTauRigid):
         CObject((P3,), (P3,))
@@ -187,13 +188,14 @@ def test_cover_in_requires_membership(a2_ctx, a2_ids):
 
 
 def test_bongartz_complements(tri_ctx, tri_ids, a2_ctx, a2_ids):
+    full = full_subcategory(tri_ctx)
     assert set(bongartz_complement(tri_ctx, [tri_ids["P1"]])) == {
         tri_ids["P2"], tri_ids["P3"]}
     assert bongartz_complement(a2_ctx, [a2_ids["I1"]]) == (a2_ids["P1"],)
     b = bongartz_complement(tri_ctx, [tri_ids["S2"]])
     assert len(b) == 2 and tri_ids["S2"] not in b
     completed = CObject.of(tuple(sorted(b + (tri_ids["S2"],))))
-    assert is_support_tau_rigid(tri_ctx, None, completed)
+    assert is_support_tau_rigid(tri_ctx, full, completed)
     with pytest.raises(NotSupportTauRigid):
         bongartz_complement(tri_ctx, [tri_ids["I3"]])  # not rigid
 
@@ -205,7 +207,7 @@ def test_bongartz_completion_is_tau_tilting_for_every_rigid(tri_ctx):
         b = bongartz_complement(tri_ctx, [u])
         total = tuple(sorted(set(b) | {u}))
         assert len(total) == 3
-        assert is_support_tau_rigid(tri_ctx, None, CObject.of(total))
+        assert is_support_tau_rigid(tri_ctx, full, CObject.of(total))
 
 
 def test_perp_tau_members(tri_ctx, tri_ids):
@@ -228,8 +230,8 @@ def test_keys_compatible_is_order_insensitive(tri_ctx, tri_ids):
     keys = candidate_keys(tri_ctx, full)
     for a in keys:
         for b in keys:
-            assert keys_compatible(tri_ctx, None, a, b) == \
-                keys_compatible(tri_ctx, None, b, a)
+            assert keys_compatible(tri_ctx, full, a, b) == \
+                keys_compatible(tri_ctx, full, b, a)
 
 
 def test_cobject_helpers(tri_ids):
