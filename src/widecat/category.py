@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .context import Context
 from .errors import NotComposable, WidecatError
 from .reduction import f_map, wide_of
-from .taurigid import (CObject, ZERO_COBJECT, WideSubcategory,
+from .taurigid import (CObject, Key, ZERO_COBJECT, WideSubcategory,
                        ext_projective_ids, full_subcategory, strigid_objects,
                        wide_rank)
 
@@ -181,30 +181,43 @@ def _irreducible_edges(cat: WideCategory) -> list[dict]:
 
 
 def category_json(cat: WideCategory) -> str:
-    """Deterministic JSON: objects (key, rank, members) and all morphisms."""
+    """Deterministic JSON: objects (key, rank, members) and all morphisms.
+
+    The text of `json.dumps(doc, indent=2, sort_keys=True)`, with the
+    morphisms assembled here from each label summand encoded once, compact
+    for the sort key and indented for the body."""
     ctx = cat.ctx
     objects = [{
         "key": list(w.key),
         "members": [ctx.label(i) for i in w.key],
         "rank": cat.rank[w.key],
     } for w in cat.objects]
-    morphisms = []
+    pieces: dict[Key, tuple[str, str]] = {}  # summand -> (compact, indented)
+    rows = []
     for w in cat.objects:
         for m in cat.morphisms_from(w):
-            morphisms.append({
-                "source": cat.object_index(m.source),
-                "target": cat.object_index(m.target),
-                "label": [{"id": i, "name": ctx.label(i), "shift": False}
-                          for i in m.label.mods] +
-                         [{"id": p, "name": ctx.label(p), "shift": True}
-                          for p in m.label.shifts],
-                "irreducible": cat.is_irreducible(m),
-            })
-    morphisms.sort(key=lambda m: (m["source"], m["target"],
-                                  json.dumps(m["label"], sort_keys=True)))
-    doc = {"objects": objects, "morphisms": morphisms,
-           "edges": _irreducible_edges(cat)}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            keys = m.label.keys()
+            for k in keys:
+                if k not in pieces:
+                    d = {"id": k[1], "name": ctx.label(k[1]), "shift": k[0] == "s"}
+                    pieces[k] = (json.dumps(d, sort_keys=True), " " * 8 + _indented(d, 4))
+            source, target = cat.object_index(m.source), cat.object_index(m.target)
+            label = ("[\n" + ",\n".join(pieces[k][1] for k in keys) + "\n      ]"
+                     if keys else "[]")
+            compact = "[" + ", ".join(pieces[k][0] for k in keys) + "]"
+            flag = "true" if cat.is_irreducible(m) else "false"
+            rows.append(((source, target, compact),
+                         f'    {{\n      "irreducible": {flag},\n      "label": {label},\n'
+                         f'      "source": {source},\n      "target": {target}\n    }}'))
+    morphisms = "[\n" + ",\n".join(b for _, b in sorted(rows)) + "\n  ]" if rows else "[]"
+    return (f'{{\n  "edges": {_indented(_irreducible_edges(cat), 1)},\n'
+            f'  "morphisms": {morphisms},\n'
+            f'  "objects": {_indented(objects, 1)}\n}}\n')
+
+
+def _indented(value, depth: int) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` written at a nesting depth."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 def category_dot(cat: WideCategory) -> str:

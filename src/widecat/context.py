@@ -195,9 +195,9 @@ class Context:
 
         The one memo policy: one entry per derived object, keyed by its kind
         and what it is derived from.  The kinds: rad (arquiver); full,
-        strigid, extproj (taurigid); wide_of, relpres, f_U, etable, finv
-        (reduction); wides, homs (category); link (verify); phi, phi_inverse,
-        singles (sequences).
+        strigid, extproj (taurigid); wide_of, perp, relpres, f_U, etable,
+        finv (reduction); wides, homs (category); link (verify); phi,
+        phi_inverse, singles (sequences).
         Only successes are stored, so a failing input raises on every call;
         the last three are dicts that their module grows by the same rule.
         No other value changes once stored, and none refers to the context.

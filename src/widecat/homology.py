@@ -357,11 +357,12 @@ def shifted_hom_dim(c: TwoTermComplex, d: TwoTermComplex) -> int:
 
 def cone_homology(f1: ModuleMorphism, f0: ModuleMorphism,
                   c: TwoTermComplex, d: TwoTermComplex
-                  ) -> tuple[Module, Module]:
-    """(H^{-1}, H^0) of the mapping cone of (f1, f0): c -> d.
+                  ) -> tuple[Module, bool]:
+    """H^{-1} of the mapping cone of (f1, f0): c -> d, and whether H^0 = 0.
 
-    H^{-1} = ker(c.p0 + d.p1 -> d.p0) / im(c.p1 -> c.p0 + d.p1),
-    H^0   = coker(c.p0 + d.p1 -> d.p0).
+    H^{-1} = ker(c.p0 + d.p1 -> d.p0) / im(c.p1 -> c.p0 + d.p1), and
+    H^0 = coker(c.p0 + d.p1 -> d.p0) vanishes iff that map is onto, which is
+    all the callers ask of it, so H^0 is not built.
     """
     from .modules import hstack_morphisms, vstack_morphisms
     mid = direct_sum([c.p0, d.p1])
@@ -369,6 +370,4 @@ def cone_homology(f1: ModuleMorphism, f0: ModuleMorphism,
     w = vstack_morphisms([c.d.neg(), f1], target_sum=mid)
     k, incl = kernel(u)
     w_into_k = factor_through_inclusion(incl, w)
-    h_minus1 = cokernel(w_into_k)[0]
-    h0 = cokernel(u)[0]
-    return h_minus1, h0
+    return cokernel(w_into_k)[0], u.is_surjective()

@@ -3,7 +3,10 @@
 Given a support tau-rigid object in the world W, `wide_of` computes the
 associated wide subcategory: the members X of W with no maps from the module
 part or the shifted projectives, and with Hom_W(X, tau_W U) = 0 for every
-module summand U (`hom_tau_vanishes`).  The reduction bijection E is
+module summand U (`hom_tau_vanishes`).  Like Jasso's reduction
+U^perp & perp(tau U), that is an intersection over the summands: each
+summand's set is kept under `("perp", w.key, key)`, so `wide_of` of an object
+intersects the sets of its summands.  The reduction bijection E is
 computed on one summand by `e_map_key`, tabulated once per (W, object) by
 `e_table`, and read from that table by `e_map` and its inverse `f_map`.
 The table's domain is read from the clique set of C(W): the keys k, sharing
@@ -63,10 +66,17 @@ def _wide_of(ctx: Context, w: WideSubcategory, obj: CObject) -> WideSubcategory:
     if not is_support_tau_rigid(ctx, w, obj):
         raise NotSupportTauRigid(f"object {obj.describe(ctx)} is not support "
                                  f"tau-rigid in {w.describe(ctx)}")
-    return WideSubcategory(frozenset(
-        x for x in w.key
-        if not any(ctx.hom_dim(u, x) for u in obj.mods + obj.shifts)
-        and all(hom_tau_vanishes(ctx, w, x, u) for u in obj.mods)))
+    members = w.members
+    for key in obj.keys():
+        members = members & ctx.cached(("perp", w.key, key), _perp, ctx, w, key)
+    return WideSubcategory(members)
+
+
+def _perp(ctx: Context, w: WideSubcategory, key: Key) -> frozenset[int]:
+    """The members of W that one summand of an object leaves in its wide_of."""
+    kind, u = key
+    return frozenset(x for x in w.key if ctx.hom_dim(u, x) == 0
+                     and (kind == "s" or hom_tau_vanishes(ctx, w, x, u)))
 
 
 def rel_presentation(ctx: Context, w: WideSubcategory, i: int) -> TwoTermComplex:
@@ -126,9 +136,9 @@ def _cone_reduction(ctx: Context, w: WideSubcategory, w1: WideSubcategory, u_ids
         total = TwoTermComplex(z, z, zero_morphism(z, z))
         big1 = zero_morphism(z, target.p1)
         big0 = zero_morphism(z, target.p0)
-    b, h0 = cone_homology(big1, big0, total, target)
+    b, onto = cone_homology(big1, big0, total, target)
     if require_h0_zero:
-        _expect(h0.is_zero, f"{what}: approximation is not surjective on degree 0")
+        _expect(onto, f"{what}: approximation is not surjective on degree 0")
     homs = {u: hom_basis(ctx.rep(u), b) for u in sorted(set(u_ids))}
     idx = _strip_and_register(ctx, b, homs, what)
     _expect(idx in set(ext_projective_ids(ctx, w1)),

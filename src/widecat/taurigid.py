@@ -232,8 +232,8 @@ def stilting_objects(ctx: Context, w: WideSubcategory) -> list[CObject]:
 
 
 def wide_rank(ctx: Context, w: WideSubcategory) -> int:
-    objs = strigid_objects(ctx, w)
-    return max((o.delta for o in objs), default=0)
+    """The summand count of the last clique, the largest as they are sorted."""
+    return next(reversed(strigid_positions(ctx, w))).delta
 
 
 # -- minimal approximations -------------------------------------------------------

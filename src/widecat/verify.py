@@ -18,7 +18,8 @@ The sweeps read reduction tables through this module's `e_table` binding,
 so the test suite plants a deliberately corrupted reduction by patching
 `verify.e_table` and confirms that the suites catch it.  A step that may
 raise (a summand missing from a patched table, an image that is not a valid
-object of the reduced world, a composition that fails) runs through
+object of the reduced world, a composition that fails, a fault inside the
+library while it builds a table or runs a sequence round trip) runs through
 `VerificationReport.attempt`, the one path that turns a raised error into a
 failed check, so it is reported, never raised; `BudgetExceeded` still
 propagates.
@@ -153,9 +154,13 @@ def _suite_bijection(ctx: Context, rep: VerificationReport) -> None:
     link = _link(ctx)
     full = full_subcategory(ctx)
     for u in strigid_objects(ctx, full):
-        w1 = wide_of(ctx, full, u)
-        table = e_table(ctx, full, u)
         at = f"reducing by {u.describe(ctx)}"
+        reduced = rep.attempt("reduction-defined",
+                              lambda: (wide_of(ctx, full, u), e_table(ctx, full, u)),
+                              lambda: f"{at}: wide subcategory and table")
+        if reduced is None:
+            continue
+        w1, table = reduced
         values = list(table.values())
         rep.check("summand-map-injective", len(set(values)) == len(values),
                   lambda: f"{at}: two summands share the image among "
@@ -243,7 +248,10 @@ def _suite_associativity(ctx: Context, rep: VerificationReport) -> None:
     full = full_subcategory(ctx)
     for u in strigid_objects(ctx, full):
         w1 = wide_of(ctx, full, u)
-        t1 = e_table(ctx, full, u)
+        t1 = rep.attempt("stepwise-image-defined", lambda: e_table(ctx, full, u),
+                         lambda: f"U={u.describe(ctx)}: table of U")
+        if t1 is None:
+            continue
         for v in link[u]:
             at = f"U={u.describe(ctx)}, V={v.describe(ctx)}"
             t2 = rep.attempt("stepwise-image-defined",
@@ -252,7 +260,11 @@ def _suite_associativity(ctx: Context, rep: VerificationReport) -> None:
             if t2 is None:
                 continue
             uv = u.union(v)
-            tuv = e_table(ctx, full, uv)
+            tuv = rep.attempt("stepwise-image-defined",
+                              lambda: e_table(ctx, full, uv),
+                              lambda: f"{at}: table of U+V")
+            if tuv is None:
+                continue
             for x in link[uv]:
                 images = rep.attempt(
                     "stepwise-image-defined",
@@ -383,7 +395,11 @@ def _suite_sequences(ctx: Context, rep: VerificationReport) -> None:
         rank = cat.rank[w.key]
         at = f"inside {_members(ctx, w)}"
         for t in range(rank + 1):
-            seqs = enumerate_signed_sequences(ctx, w, t)
+            seqs = rep.attempt("sequence-count-matches-ordered-objects",
+                               lambda: enumerate_signed_sequences(ctx, w, t),
+                               lambda: f"{at}, length {t}: listing the sequences")
+            if seqs is None:
+                continue
             ordered = ordered_strigid_objects(ctx, w, t)
             rep.check("sequence-count-matches-ordered-objects",
                       len(seqs) == len(ordered),
@@ -392,22 +408,22 @@ def _suite_sequences(ctx: Context, rep: VerificationReport) -> None:
             rep.check("sequence-count-function-agrees",
                       count_signed_sequences(ctx, w, t) == len(seqs),
                       lambda: at)
-            for seq in seqs:
-                ordered_img = phi(ctx, w, seq)
-                back = phi_inverse(ctx, w, ordered_img)
-                rep.check("sequence-round-trip", back == seq,
-                          lambda: f"{at}: {[e.describe(ctx) for e in seq]} "
-                                  f"came back as "
-                                  f"{[e.describe(ctx) for e in back]}")
-            for tpl in ordered:
-                seq = phi_inverse(ctx, w, tpl)
-                fwd = phi(ctx, w, seq)
-                rep.check("ordered-object-round-trip", fwd == tpl,
-                          lambda: f"{at}: {[e.describe(ctx) for e in tpl]} "
-                                  f"came back as "
-                                  f"{[e.describe(ctx) for e in fwd]}")
+            for name, items, there, back in (
+                    ("sequence-round-trip", seqs, phi, phi_inverse),
+                    ("ordered-object-round-trip", ordered, phi_inverse, phi)):
+                for item in items:
+                    out = rep.attempt(
+                        name, lambda: back(ctx, w, there(ctx, w, item)),
+                        lambda: f"{at}: {[e.describe(ctx) for e in item]} there and back")
+                    if out is not None:
+                        rep.check(name, out == item,
+                                  lambda: f"{at}: {[e.describe(ctx) for e in item]} came "
+                                          f"back as {[e.describe(ctx) for e in out]}")
     for m in cat.all_morphisms():
-        chains = factorizations(cat, m)
+        chains = rep.attempt("factorization-count", lambda: factorizations(cat, m),
+                             lambda: f"factorizing {m.describe(ctx)}")
+        if chains is None:
+            continue
         want = math.factorial(m.label.delta)
         rep.check("factorization-count", len(chains) == want,
                   lambda: f"{m.describe(ctx)}: {len(chains)} factorizations "

@@ -1,5 +1,7 @@
 """The category of wide subcategories: objects, Hom-sets, composition, graph."""
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -10,9 +12,14 @@ from widecat.category import (WideCategory, _irreducible_edges, category_dot,
 from widecat.context import build_context
 from widecat.errors import NotComposable, NotSupportTauRigid
 from widecat.sequences import enumerate_signed_sequences
+from widecat.textio import parse_algebra_text
 from widecat.taurigid import (CObject, ZERO_COBJECT, full_subcategory,
                               stilting_objects, strigid_objects)
-from conftest import load_context
+from conftest import CORPUS, load_context
+
+sys.path.insert(0, str(CORPUS.parent / "bench"))
+
+import gen  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +179,45 @@ def test_exports_are_deterministic(tri_ctx):
     dot = category_dot(catd)
     assert dot.count("->") == 31
     assert "black:white:black" in dot  # doubled edges render as parallel pair
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.alg")))
+def test_export_is_its_own_sorted_indented_dump(name):
+    """The export is the text `json.dumps(..., indent=2, sort_keys=True)`
+    gives for it, with morphisms ordered by (source, target, compact label)."""
+    ctx = load_context(name)
+    for drop in (False, True):
+        out = category_json(WideCategory(ctx, drop_zero_object=drop))
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        order = [(m["source"], m["target"], json.dumps(m["label"], sort_keys=True))
+                 for m in doc["morphisms"]]
+        assert order == sorted(set(order))
+
+
+# sha256 of `category_json` keeping and dropping the zero object, from the
+# export as `json.dumps` wrote it whole; export-d5 seed 1 is the benchmark's
+# D5 path algebra over F101 (2,805,027 and 1,958,231 bytes).
+EXPORT_SHA256 = {
+    "d4.alg": ("4cceb7404942a0ae35810b6f6461cf3565dcb4ae0c3cdf51be7946a346ac2f3e",
+               "b171dcecb87533449b8d4830acce44df16ebb38ecc6c31170c900ef4cca4b80a"),
+    "export-d5": ("0b31e9834712fdbb422e695f8f232c48ff32475e6c63190f945da0a51ad8990c",
+                  "d5c071821b194ead97d0c2beb19ee02b188bb3a9ee87535d929f939538ed1ada"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_export_bytes_are_pinned(name):
+    if name == "export-d5":
+        text = gen.generate(name, 1)
+        ctx = build_context(build_algebra(parse_algebra_text(text)))
+    else:
+        ctx = load_context(name)
+    digests = tuple(
+        hashlib.sha256(category_json(WideCategory(ctx, drop_zero_object=drop))
+                       .encode()).hexdigest()
+        for drop in (False, True))
+    assert digests == EXPORT_SHA256[name]
 
 
 def test_small_algebra_censuses(a2_ctx):

@@ -11,7 +11,7 @@ from widecat.reduction import e_map, e_map_key, e_table, f_map, wide_of
 from widecat.taurigid import (CObject, ZERO_COBJECT, candidate_keys,
                               ext_projective_ids, full_subcategory,
                               is_support_tau_rigid, keys_compatible,
-                              strigid_objects)
+                              strigid_objects, wide_rank)
 from conftest import load_context
 
 
@@ -220,3 +220,31 @@ def test_table_domain_is_the_pairwise_rule(name):
             expected = [k for k in keys if k not in own
                         and all(keys_compatible(ctx, w, k, o) for o in own)]
             assert list(e_table(ctx, w, obj)) == expected
+
+
+def _perp_by_filter(ctx, w, t) -> frozenset:
+    """The members of W that `wide_of` keeps for T, filtered from the
+    definition: no maps from any summand, and Hom_W(X, tau_W U) = 0 for each
+    module summand U, read through tau in mod A and through Ext^1 into
+    Gen(X) & W elsewhere."""
+    def no_maps_into_tau(x, u):
+        if len(w.members) == ctx.ind_count():
+            return ctx.tau(u) is None or ctx.hom_dim(x, ctx.tau(u)) == 0
+        gen = ctx.gen_members(frozenset([x])) & w.members
+        return all(ctx.ext1(u, g) == 0 for g in gen)
+
+    return frozenset(x for x in w.members
+                     if all(ctx.hom_dim(u, x) == 0 for u in t.mods + t.shifts)
+                     and all(no_maps_into_tau(x, u) for u in t.mods))
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "a4.alg", "d4.alg",
+                                  "preproj_a3.alg"])
+def test_wide_of_and_rank_match_a_brute_force_filter(name):
+    ctx = load_context(name)
+    for w in enumerate_wide_subcategories(ctx):
+        objs = strigid_objects(ctx, w)
+        assert wide_rank(ctx, w) == max(t.delta for t in objs)
+        for t in objs:
+            assert wide_of(ctx, w, t).members == _perp_by_filter(ctx, w, t), \
+                (w.describe(ctx), t.describe(ctx))

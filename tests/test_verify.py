@@ -4,11 +4,11 @@ import weakref
 
 import pytest
 
-from widecat import verify
+from widecat import reduction, sequences, verify
 from widecat.category import WideCategory, identity_of
 from widecat.errors import BudgetExceeded, WidecatError
 from widecat.reduction import e_table
-from widecat.taurigid import full_subcategory
+from widecat.taurigid import full_subcategory, strigid_objects
 from widecat.verify import (SUITE_NAMES, VerificationReport, run_suite,
                             run_verify)
 from conftest import load_context
@@ -244,6 +244,52 @@ def test_failing_composition_is_reported_not_raised(monkeypatch):
         "WidecatError: planted composition failure")
     assert all(planted.describe(ctx) in f.counterexample
                for f in rep.failures)
+
+
+def _skip_f_class(monkeypatch):
+    """f_U returns its input: cases I(a) and II(b) leave the reduced world."""
+    monkeypatch.setattr(reduction, "_f_class", lambda ctx, u_ids, x, what: x)
+
+
+def _skip_pullback(monkeypatch):
+    """phi keeps the prefix of a sequence without pulling it back."""
+    monkeypatch.setattr(sequences, "_phi", lambda ctx, w, keys: keys)
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_faulty_reduction_is_reported_not_raised(name, monkeypatch):
+    """Every suite runs to its end; the bijection suite names the object it
+    reduced by, and the error names the world it was reduced in."""
+    ctx = load_context(name)
+    _skip_f_class(monkeypatch)
+    reports = run_verify(ctx)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    bijection = reports[SUITE_NAMES.index("bijection")]
+    full = full_subcategory(ctx)
+    names = [u.describe(ctx) for u in strigid_objects(ctx, full) if not u.is_zero]
+    assert any(f.check == "reduction-defined"
+               and f.counterexample.startswith(f"reducing by {u}:")
+               and f"by {u} in {full.describe(ctx)}: " in f.counterexample
+               for f in bijection.failures for u in names)
+    for suite in ("associativity", "sequences"):
+        assert not reports[SUITE_NAMES.index(suite)].ok, suite
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_faulty_phi_is_reported_not_raised(name, monkeypatch):
+    """The sequences suite names the world and the entries of the sequence
+    whose round trip raised."""
+    ctx = load_context(name)
+    _skip_pullback(monkeypatch)
+    reports = run_verify(ctx)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    seqs = reports[SUITE_NAMES.index("sequences")]
+    members = "{" + ",".join(ctx.label(i) for i in full_subcategory(ctx).key) + "}"
+    assert any(f.check == "sequence-round-trip"
+               and f.counterexample.startswith(f"inside {members}: ['")
+               and "raised NotExceptional" in f.counterexample
+               for f in seqs.failures)
+    assert all(r.ok for r in reports if r.suite != "sequences")
 
 
 # Cluster-complex f-vectors (f_0 = 1 for the zero object, then faces by
