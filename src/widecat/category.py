@@ -67,16 +67,18 @@ def _hom_sets(ctx: Context, drop_zero_object: bool
     kept per context by `Context.cached` (see `WideCategory`)."""
     objects = enumerate_wide_subcategories(ctx)
     index = {w.key: k for k, w in enumerate(objects)}
+    by_members = {w.members: w for w in objects}
     homs = {}
     for w in objects:
         if drop_zero_object and not w.members:
             continue
         by_target: dict[tuple, list[WideCatMorphism]] = {}
         for u in strigid_objects(ctx, w):
-            m = morphism(ctx, w, u)
-            if drop_zero_object and not m.target.members:
+            # the target as the enumerated object, whose key is already built
+            target = by_members[wide_of(ctx, w, u).members]
+            if drop_zero_object and not target.members:
                 continue
-            by_target.setdefault(m.target.key, []).append(m)
+            by_target.setdefault(target.key, []).append(WideCatMorphism(w, target, u))
         homs[w.key] = {t: tuple(by_target[t])
                        for t in sorted(by_target, key=index.__getitem__)}
     return homs
@@ -133,12 +135,12 @@ class WideCategory:
 
     def is_irreducible(self, m: WideCatMorphism) -> bool:
         """Indecomposable label; cross-checked against the rank drop."""
+        corank = self.corank(m)
         by_label = m.label.delta == 1
-        by_corank = self.corank(m) == 1
-        if (self.corank(m) == m.label.delta) is False:
+        if corank != m.label.delta:
             raise WidecatError(
                 "rank drop disagrees with the number of label summands")
-        if by_label != by_corank:
+        if by_label != (corank == 1):
             raise WidecatError(
                 "irreducibility readings disagree (label vs corank)")
         return by_label

@@ -15,12 +15,13 @@ Caches are plain dicts filled on first use; every value is deterministic.
 """
 from __future__ import annotations
 
+from . import linalg
 from .algebra import Algebra
 from .arquiver import almost_split_sequence
 from .errors import BudgetExceeded, InjectiveInput
 from .homology import Presentation, ar_translate, ext1_dim, minimal_presentation
 from .modules import (Module, ModuleMorphism, cokernel, decompose, hom_basis,
-                      image_span, indec_isomorphic, injective_module,
+                      indec_isomorphic, injective_module,
                       projective_module, radical_inclusion, socle_vectors,
                       submodule)
 
@@ -215,10 +216,16 @@ class Context:
         gens = frozenset(gens)
         if gens not in self._gen:
             glist = sorted(gens)
+            fd = self.alg.field
             out = []
             for x, target in enumerate(self._reps):
-                span = image_span(target, [f for g in glist for f in self.hom(g, x)])
-                if all(len(span[v]) == d for v, d in enumerate(target.dims)):
+                maps = [f for g in glist for f in self.hom(g, x)]
+                # x is in Gen when the images fill every vertex: stop at the
+                # first vertex where the joined matrices [f_1 ... f_k] lack
+                # full row rank.
+                if all(linalg.rank(fd, [[a for f in maps for a in f.mats[v][r]]
+                                        for r in range(d)]) == d
+                       for v, d in enumerate(target.dims)):
                     out.append(x)
             self._gen[gens] = frozenset(out)
         return self._gen[gens]

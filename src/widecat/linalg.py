@@ -3,13 +3,20 @@
 Matrices are lists of row lists of field elements.  Pivoting is "first
 nonzero from the left, first candidate row from the top", so every result
 (echelon forms, kernels, solutions) is deterministic for a given input.
-The scale here is tiny (corpus matrices stay under ~50 rows) so no effort
-is spent on asymptotics; correctness and reproducibility only.
+
+Every elimination is one pass of `_echelon`, whose arithmetic is picked
+once per call: residues with inline `% p` over F_p; over Q, rows cleared
+to integers and eliminated fraction-free (after Bareiss, Math. Comp. 22,
+1968), so no `Fraction` is made until an answer is read off.  It visits
+only the nonzero columns of each pivot row.  With the same pivot rule, and
+the RREF of a matrix unique, its pivot rows divided by their pivots are
+exactly the RREF of Gauss-Jordan over field elements.  `rank` and
+`independent_columns` read only the pivots.
 
 A matrix with no rows cannot carry its column count, so callers pass it to
 `nullspace` and `solve_matrix` wherever a matrix may have no rows.  Both
 answer every zero shape (no rows, no unknowns, no right-hand sides) without
-eliminating, and otherwise make one `rref`; `solve` and `inverse` are the
+eliminating, and otherwise eliminate once; `solve` and `inverse` are the
 cases b = one column and b = I of `solve_matrix`.
 
 `independent_columns` is the one "keep the vectors independent modulo a
@@ -17,6 +24,9 @@ span" step: radicals, traces, approximations, Ext and homotopy quotients
 and complements all pick their bases through it.
 """
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import FieldSpec
 
@@ -116,38 +126,86 @@ def block_diag(field: FieldSpec, blocks: list[list[list]],
     return out
 
 
+def _integral(row: list) -> list[int]:
+    """A rational row scaled to coprime integers by a positive factor."""
+    d = lcm(*{x.denominator for x in row})
+    ints = ([x.numerator for x in row] if d == 1 else
+            [x.numerator * (d // x.denominator) for x in row])
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _echelon(field: FieldSpec, m: list[list]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of m: (rows, pivot column list).
+
+    Pivot row k, divided by its entry in column pivots[k], is row k of the
+    RREF of m; the rows past the pivots are zero.  Over F_p the rows hold
+    residues and every pivot is 1.  Over Q they hold coprime integers: a
+    row with entry a under the pivot pv of row y becomes
+    (pv * row - a * y) / gcd(pv, a), then is divided by its own gcd; pivots
+    are left unnormalised.
+    """
+    p = field.p
+    rows = [row[:] for row in m] if p else [_integral(row) for row in m]
+    cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        for pr in range(r, len(rows)):
+            if rows[pr][c]:
+                break
+        else:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow, pv = rows[r], rows[r][c]
+        if p and pv != 1:
+            inv = pow(pv, p - 2, p)
+            prow = rows[r] = [x * inv % p for x in prow]
+        nz = [j for j in range(c, cols) if prow[j]]
+        others = [i for i, row in enumerate(rows) if row[c] and i != r]
+        if p:
+            for i in others:
+                row, a = rows[i], rows[i][c]
+                for j in nz:
+                    row[j] = (row[j] - a * prow[j]) % p
+        else:
+            for i in others:
+                row, a = rows[i], rows[i][c]
+                g = gcd(pv, a)
+                s, t = pv // g, a // g
+                if s != 1:
+                    row = [s * x for x in row]
+                for j in nz:
+                    row[j] -= t * prow[j]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return rows, pivots
+
+
+def _over(field: FieldSpec, values: list[int], pv: int) -> list:
+    """values / pv as field elements (pv is 1 over F_p)."""
+    p = field.p
+    if p:
+        return [x % p for x in values]
+    zero = field.zero
+    return [Fraction(x, pv) if x else zero for x in values]
+
+
 def rref(field: FieldSpec, m: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (matrix, pivot column list)."""
-    m = copy_matrix(m)
-    rows, cols = shape(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    rows, pivots = _echelon(field, m)
+    red = [_over(field, row, row[pc]) for row, pc in zip(rows, pivots)]
+    cols = len(rows[0]) if rows else 0
+    return red + zeros(field, len(rows) - len(pivots), cols), pivots
 
 
 def rank(field: FieldSpec, m: list[list]) -> int:
     if not m or not m[0]:
         return 0
-    return len(rref(field, m)[1])
+    return len(_echelon(field, m)[1])
 
 
 def nullspace(field: FieldSpec, m: list[list], cols: int) -> list[list]:
@@ -161,15 +219,18 @@ def nullspace(field: FieldSpec, m: list[list], cols: int) -> list[list]:
         return []
     if not m:
         return identity(field, cols)
-    red, pivots = rref(field, m)
+    rows, pivots = _echelon(field, m)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
+    # entries[k][f]: the entry at pivot column pivots[k] of basis vector f
+    entries = [_over(field, [-row[fc] for fc in free], row[pc])
+               for row, pc in zip(rows, pivots)]
     basis = []
-    for fc in free:
+    for f, fc in enumerate(free):
         v = [field.zero] * cols
         v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+        for pc, row in zip(pivots, entries):
+            v[pc] = row[f]
         basis.append(v)
     return basis
 
@@ -185,8 +246,9 @@ def solve_matrix(field: FieldSpec, m: list[list], b: list[list], cols: int,
     """One solution X of m X = b, or None if any column is inconsistent.
 
     m has `cols` columns and b has `bcols`; with no unknowns m need not carry
-    its rows.  One rref of [m | b] solves every column: the free unknowns are
-    zero, and a pivot past m's columns marks an inconsistent column.
+    its rows.  One elimination of [m | b] solves every column: the free
+    unknowns are zero, and a pivot past m's columns marks an inconsistent
+    column.
     """
     if bcols == 0:
         return zeros(field, cols, 0)
@@ -196,12 +258,12 @@ def solve_matrix(field: FieldSpec, m: list[list], b: list[list], cols: int,
         raise ValueError("solve_matrix shape mismatch")
     if not m:
         return zeros(field, cols, bcols)
-    red, pivots = rref(field, [mr + br for mr, br in zip(m, b)])
+    rows, pivots = _echelon(field, [mr + br for mr, br in zip(m, b)])
     if pivots and pivots[-1] >= cols:
         return None
     x = zeros(field, cols, bcols)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols:]
+    for row, pc in zip(rows, pivots):
+        x[pc] = _over(field, row[cols:], row[pc])
     return x
 
 
@@ -246,12 +308,12 @@ def independent_columns(field: FieldSpec, base: list[list], vectors: list[list])
 
     Vector k is kept when it lies outside the span of `base` and of the
     vectors kept before it.  These are the pivot columns, past `base`, of one
-    rref of the matrix whose columns are `base` followed by `vectors`.
+    elimination of the matrix whose columns are `base` followed by `vectors`.
     """
     cols = list(base) + list(vectors)
     if not cols or not cols[0]:
         return []
-    _, pivots = rref(field, transpose(cols))
+    pivots = _echelon(field, transpose(cols))[1]
     return [c - len(base) for c in pivots if c >= len(base)]
 
 

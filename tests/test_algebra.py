@@ -143,6 +143,16 @@ def test_loop_without_relations_is_infinite_dimensional():
         build_algebra(loop)
 
 
+def test_commuting_loops_are_infinite_dimensional():
+    """k<x,y>/(xy - yx) is the polynomial ring in two variables: the basis
+    build must give up at the path guard, not echelonize forever."""
+    comm = QuiverPresentation(
+        vertices=("1",), arrows=(("x", "1", "1"), ("y", "1", "1")),
+        relations=((("1", ("x", "y")), ("-1", ("y", "x"))),))
+    with pytest.raises(NotFiniteDimensional):
+        build_algebra(comm)
+
+
 def test_nilpotent_loop_builds():
     loop = QuiverPresentation(vertices=("1",), arrows=(("l", "1", "1"),),
                               relations=((("1", ("l", "l")),),))

@@ -77,6 +77,14 @@ def test_hom_counting(tri_ids, tri_cat):
     assert tri_cat.hom_set(js2, jp3) == []
 
 
+def test_hom_sets_target_the_enumerated_objects(tri_ctx, tri_cat):
+    """Each morphism of a Hom-set carries the enumerated object as its
+    target, not a copy of it."""
+    objects = {w.key: w for w in enumerate_wide_subcategories(tri_ctx)}
+    for m in tri_cat.all_morphisms():
+        assert m.target is objects[m.target.key]
+
+
 def test_composition_and_identities(tri_ctx, tri_ids, tri_cat):
     full = wide_by_members(tri_cat, tri_ids.values())
     js2 = wide_by_members(tri_cat, {tri_ids["P2"], tri_ids["I3"], tri_ids["I1"]})

@@ -1,4 +1,4 @@
-"""Exact linear algebra over Q and F_101."""
+"""Exact linear algebra over Q and prime fields."""
 from fractions import Fraction
 
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widecat import linalg
-from widecat.fields import QQ, field_from_name
+from widecat.fields import QQ, FieldSpec, field_from_name
 
 F101 = field_from_name("F101")
 FIELDS = [QQ, F101]
@@ -157,10 +157,10 @@ class TestZeroShapes:
     passes it; these shapes are answered without an elimination."""
 
     @pytest.fixture(autouse=True)
-    def no_rref(self, monkeypatch):
+    def no_elimination(self, monkeypatch):
         def boom(field, m):
-            raise AssertionError("zero shape reached rref")
-        monkeypatch.setattr(linalg, "rref", boom)
+            raise AssertionError("zero shape reached an elimination")
+        monkeypatch.setattr(linalg, "_echelon", boom)
 
     def test_nullspace_without_rows_is_the_identity(self, fd):
         assert linalg.nullspace(fd, [], 3) == linalg.identity(fd, 3)
@@ -223,3 +223,154 @@ def test_inverse_is_solve_matrix_against_the_identity(data, fd):
     inv = linalg.inverse(fd, m)
     assert inv == linalg.solve_matrix(fd, m, linalg.identity(fd, n), n, n)
     assert linalg.matmul(fd, m, inv) == linalg.identity(fd, n)
+
+
+# -- the elimination kernel against generic Gauss-Jordan --------------------
+
+ALL_FIELDS = [QQ] + [field_from_name(f"F{p}") for p in (2, 3, 101)]
+
+
+def _reference_rref(fd, m):
+    """Gauss-Jordan with one FieldSpec operation per cell: pivot on the first
+    nonzero from the left, first row from the top, normalise, clear."""
+    m = [row[:] for row in m]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = fd.inv(m[r][c])
+        m[r] = [fd.mul(inv, x) for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [fd.sub(x, fd.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _reference_nullspace(fd, m, cols):
+    red, pivots = _reference_rref(fd, m)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [fd.zero] * cols
+        v[fc] = fd.one
+        for r, pc in enumerate(pivots):
+            v[pc] = fd.neg(red[r][fc])
+        basis.append(v)
+    return basis
+
+
+def _reference_solve_matrix(fd, m, b, cols):
+    red, pivots = _reference_rref(fd, [mr + br for mr, br in zip(m, b)])
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = linalg.zeros(fd, cols, len(b[0]))
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols:]
+    return x
+
+
+@st.composite
+def _field_matrices(draw, fd, rows=None, cols=None):
+    """Tall, wide and square matrices with zero rows, zero columns and
+    repeated (scaled) rows mixed in; over Q the entries are non-integral
+    and negative, with denominators up to 6."""
+    rows = rows or draw(st.integers(min_value=1, max_value=7))
+    cols = cols or draw(st.integers(min_value=1, max_value=7))
+    if fd is QQ:
+        nonzero = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    else:
+        nonzero = st.integers(1, fd.p - 1)
+    entry = st.one_of(st.just(fd.zero), nonzero)
+    m = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat"]))
+        if kind == "zero":
+            m.append([fd.zero] * cols)
+        elif kind == "repeat" and m:
+            c = draw(nonzero)
+            m.append([fd.mul(c, x) for x in draw(st.sampled_from(m))])
+        else:
+            m.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        for row in m:
+            row[j] = fd.zero
+    return m
+
+
+def _assert_elements(fd, mat):
+    cells = [x for row in mat for x in row]
+    if fd is QQ:
+        assert all(type(x) is Fraction for x in cells)
+    else:
+        assert all(type(x) is int and 0 <= x < fd.p for x in cells)
+
+
+_fields = st.sampled_from(ALL_FIELDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fields, st.data())
+def test_rref_rank_and_nullspace_match_generic_gauss_jordan(fd, data):
+    m = data.draw(_field_matrices(fd))
+    cols = len(m[0])
+    want, want_pivots = _reference_rref(fd, m)
+    red, pivots = linalg.rref(fd, m)
+    assert (red, pivots) == (want, want_pivots)
+    _assert_elements(fd, red)
+    assert linalg.rank(fd, m) == len(want_pivots)
+    basis = linalg.nullspace(fd, m, cols)
+    assert basis == _reference_nullspace(fd, m, cols)
+    _assert_elements(fd, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fields, st.data())
+def test_solve_matrix_matches_generic_gauss_jordan(fd, data):
+    m = data.draw(_field_matrices(fd))
+    bcols = data.draw(st.integers(min_value=1, max_value=3))
+    b = data.draw(_field_matrices(fd, rows=len(m), cols=bcols))
+    if data.draw(st.booleans()):  # a consistent system half of the time
+        x0 = data.draw(_field_matrices(fd, rows=len(m[0]), cols=bcols))
+        b = linalg.matmul(fd, m, x0)
+    x = linalg.solve_matrix(fd, m, b, len(m[0]), bcols)
+    assert x == _reference_solve_matrix(fd, m, b, len(m[0]))
+    if x is not None:
+        _assert_elements(fd, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fields, st.data())
+def test_independent_columns_match_generic_gauss_jordan(fd, data):
+    vecs = data.draw(_field_matrices(fd))
+    nbase = data.draw(st.integers(min_value=0, max_value=len(vecs)))
+    base, vectors = vecs[:nbase], vecs[nbase:]
+    _, pivots = _reference_rref(fd, linalg.transpose(vecs))
+    assert linalg.independent_columns(fd, base, vectors) == \
+        [c - nbase for c in pivots if c >= nbase]
+
+
+@pytest.mark.parametrize("fd", FIELDS, ids=lambda f: f.name())
+def test_kernel_makes_no_per_cell_field_calls(fd, monkeypatch):
+    """rref, nullspace and solve_matrix eliminate without FieldSpec arithmetic."""
+    m = [[fd.of(Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i * j) % 4)) for j in range(8)]
+         for i in range(6)]
+    m[4] = [fd.mul(fd.of(2), x) for x in m[1]]  # a repeated row
+    x0 = [[fd.of(j - i) for j in range(2)] for i in range(8)]
+    b = linalg.matmul(fd, m, x0)
+    want = (_reference_rref(fd, m), _reference_nullspace(fd, m, 8),
+            _reference_solve_matrix(fd, m, b, 8))
+
+    def boom(*args):
+        raise AssertionError("per-cell FieldSpec arithmetic in the elimination")
+    for name in ("add", "sub", "mul", "inv"):
+        monkeypatch.setattr(FieldSpec, name, boom)
+    got = (linalg.rref(fd, m), linalg.nullspace(fd, m, 8),
+           linalg.solve_matrix(fd, m, b, 8, 2))
+    monkeypatch.undo()
+    assert got == want
+    assert len(want[1]) == 8 - len(want[0][1]) >= 3

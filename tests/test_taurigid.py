@@ -5,7 +5,7 @@ import pytest
 
 from widecat.category import enumerate_wide_subcategories
 from widecat.errors import NotSupportTauRigid, WidecatError
-from widecat.modules import hom_basis, is_isomorphic
+from widecat.modules import hom_basis, image_span, is_isomorphic
 from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
                               bongartz_complement, candidate_keys, cover_in,
                               ext_projective_ids, full_subcategory,
@@ -68,6 +68,19 @@ def test_gen_membership_is_a_surjective_approximation(name):
         for x in ctx.ind_ids():
             f, _ = minimal_right_approximation(ctx, {u: ctx.hom(u, x)}, ctx.rep(x))
             assert (x in gen) == f.is_surjective()
+
+
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_gen_members_of_pairs_are_the_full_traces(name):
+    """x lies in Gen(u + u') exactly when the images of all maps from u and
+    u' fill x at every vertex."""
+    ctx = load_context(name)
+    for pair in itertools.combinations(ctx.ind_ids(), 2):
+        gen = ctx.gen_members(frozenset(pair))
+        for x in ctx.ind_ids():
+            span = image_span(ctx.rep(x), [f for u in pair for f in ctx.hom(u, x)])
+            full = all(len(span[v]) == d for v, d in enumerate(ctx.dims(x)))
+            assert (x in gen) == full
 
 
 def test_gen_members_oracle(tri_ctx, tri_ids):
