@@ -8,10 +8,15 @@ Irreducible morphisms are exactly those with an indecomposable label,
 equivalently those whose target drops the rank by one; both readings are
 computed and cross-checked on every query.
 
+Objects and morphism targets are the context's one `WideSubcategory` per
+member set (`wide_of` returns it), and morphisms are slotted, since the
+Hom-sets and the composition memo keep one per morphism or composable pair.
+
 Exports render the irreducible morphisms as a labelled graph: each label is
 shown by its module part, and the pair of morphisms attached to an
 Ext-projective summand (the module and its shift have the same image) is
-drawn as a single doubled edge.
+drawn as a single doubled edge.  `category_json` writes every morphism into
+one parts list, as pieces shared between morphisms, and joins it once.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from .taurigid import (CObject, Key, ZERO_COBJECT, WideSubcategory,
                        wide_rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WideCatMorphism:
     source: WideSubcategory
     target: WideSubcategory
@@ -67,15 +72,13 @@ def _hom_sets(ctx: Context, drop_zero_object: bool
     kept per context by `Context.cached` (see `WideCategory`)."""
     objects = enumerate_wide_subcategories(ctx)
     index = {w.key: k for k, w in enumerate(objects)}
-    by_members = {w.members: w for w in objects}
     homs = {}
     for w in objects:
         if drop_zero_object and not w.members:
             continue
         by_target: dict[tuple, list[WideCatMorphism]] = {}
         for u in strigid_objects(ctx, w):
-            # the target as the enumerated object, whose key is already built
-            target = by_members[wide_of(ctx, w, u).members]
+            target = wide_of(ctx, w, u)  # the enumerated object itself
             if drop_zero_object and not target.members:
                 continue
             by_target.setdefault(target.key, []).append(WideCatMorphism(w, target, u))
@@ -118,7 +121,8 @@ class WideCategory:
         """b after a.  The label is label(a) plus the pullback of label(b)."""
         if a.target != b.source:
             raise NotComposable(
-                "target of the first morphism is not the source of the second")
+                "target of the first morphism is not the source of the second: "
+                f"{b.describe(self.ctx)} after {a.describe(self.ctx)}")
         memo_key = (a.source.key, a.label, b.label)
         if memo_key in self._compose_memo:
             return self._compose_memo[memo_key]
@@ -126,7 +130,8 @@ class WideCategory:
         out = morphism(self.ctx, a.source, a.label.union(pulled))
         if out.target != b.target:
             raise WidecatError(
-                "composition landed outside the expected target")
+                f"composition landed outside the expected target: {b.describe(self.ctx)}"
+                f" after {a.describe(self.ctx)} gave {out.describe(self.ctx)}")
         self._compose_memo[memo_key] = out
         return out
 
@@ -138,11 +143,11 @@ class WideCategory:
         corank = self.corank(m)
         by_label = m.label.delta == 1
         if corank != m.label.delta:
-            raise WidecatError(
-                "rank drop disagrees with the number of label summands")
+            raise WidecatError("rank drop disagrees with the number of label "
+                               f"summands: {m.describe(self.ctx)}")
         if by_label != (corank == 1):
-            raise WidecatError(
-                "irreducibility readings disagree (label vs corank)")
+            raise WidecatError("irreducibility readings disagree (label vs "
+                               f"corank): {m.describe(self.ctx)}")
         return by_label
 
 
@@ -185,9 +190,11 @@ def _irreducible_edges(cat: WideCategory) -> list[dict]:
 def category_json(cat: WideCategory) -> str:
     """Deterministic JSON: objects (key, rank, members) and all morphisms.
 
-    The text of `json.dumps(doc, indent=2, sort_keys=True)`, with the
-    morphisms assembled here from each label summand encoded once, compact
-    for the sort key and indented for the body."""
+    The text of `json.dumps(doc, indent=2, sort_keys=True)`, joined once
+    from one parts list.  Each summand is encoded once, compact for the sort
+    key and indented for the body, and the bodies go into the list as those
+    shared pieces.  Hom-sets come in (source, target) order, so the text's
+    morphism order is each Hom-set sorted by its compact labels."""
     ctx = cat.ctx
     objects = [{
         "key": list(w.key),
@@ -195,26 +202,31 @@ def category_json(cat: WideCategory) -> str:
         "rank": cat.rank[w.key],
     } for w in cat.objects]
     pieces: dict[Key, tuple[str, str]] = {}  # summand -> (compact, indented)
-    rows = []
-    for w in cat.objects:
-        for m in cat.morphisms_from(w):
-            keys = m.label.keys()
-            for k in keys:
-                if k not in pieces:
-                    d = {"id": k[1], "name": ctx.label(k[1]), "shift": k[0] == "s"}
-                    pieces[k] = (json.dumps(d, sort_keys=True), " " * 8 + _indented(d, 4))
-            source, target = cat.object_index(m.source), cat.object_index(m.target)
-            label = ("[\n" + ",\n".join(pieces[k][1] for k in keys) + "\n      ]"
-                     if keys else "[]")
-            compact = "[" + ", ".join(pieces[k][0] for k in keys) + "]"
-            flag = "true" if cat.is_irreducible(m) else "false"
-            rows.append(((source, target, compact),
-                         f'    {{\n      "irreducible": {flag},\n      "label": {label},\n'
-                         f'      "source": {source},\n      "target": {target}\n    }}'))
-    morphisms = "[\n" + ",\n".join(b for _, b in sorted(rows)) + "\n  ]" if rows else "[]"
-    return (f'{{\n  "edges": {_indented(_irreducible_edges(cat), 1)},\n'
-            f'  "morphisms": {morphisms},\n'
-            f'  "objects": {_indented(objects, 1)}\n}}\n')
+    for i in ctx.ind_ids():
+        for kind in "ms":
+            d = {"id": i, "name": ctx.label(i), "shift": kind == "s"}
+            pieces[kind, i] = (json.dumps(d, sort_keys=True), "\n" + " " * 8 + _indented(d, 4))
+
+    def compact(m: WideCatMorphism) -> str:
+        return "[" + ", ".join(pieces[k][0] for k in m.label.keys()) + "]"
+
+    index = [str(k) for k in range(len(cat.objects))]
+    # each list closes by overwriting the separator after its last element
+    parts = [f'{{\n  "edges": {_indented(_irreducible_edges(cat), 1)},\n  "morphisms": ', "["]
+    for source, w in zip(index, cat.objects):
+        for hom in cat._homs.get(w.key, {}).values():
+            for m in sorted(hom, key=compact):
+                parts += ('\n    {\n      "irreducible": ',
+                          "true" if cat.is_irreducible(m) else "false",
+                          ',\n      "label": ', "[")
+                for k in m.label.keys():
+                    parts += (pieces[k][1], ",")
+                parts[-1] = "\n      ]" if m.label.delta else "[]"
+                parts += (',\n      "source": ', source, ',\n      "target": ',
+                          index[cat.object_index(m.target)], "\n    },")
+    parts[-1] = "[]" if parts[-1] == "[" else "\n    }\n  ]"
+    parts.append(f',\n  "objects": {_indented(objects, 1)}\n}}\n')
+    return "".join(parts)
 
 
 def _indented(value, depth: int) -> str:

@@ -195,10 +195,10 @@ class Context:
         """`memo[key]`, or `compute(*args)` stored there on a miss.
 
         The one memo policy: one entry per derived object, keyed by its kind
-        and what it is derived from.  The kinds: rad (arquiver); full,
-        strigid, extproj (taurigid); wide_of, perp, relpres, f_U, etable,
-        finv (reduction); wides, homs (category); link (verify); phi,
-        phi_inverse, singles (sequences).
+        and what it is derived from.  The kinds: rad (arquiver); world,
+        full, strigid, extproj (taurigid); wide_of, perp, relpres, f_U,
+        etable, finv (reduction); wides, homs (category); link (verify);
+        phi, phi_inverse, singles (sequences).
         Only successes are stored, so a failing input raises on every call;
         the last three are dicts that their module grows by the same rule.
         No other value changes once stored, and none refers to the context.

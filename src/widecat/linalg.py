@@ -56,27 +56,35 @@ def matmul(field: FieldSpec, a: list[list], b: list[list]) -> list[list]:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"matmul shape mismatch {ra}x{ca} * {rb}x{cb}")
+    p = field.p
     out = zeros(field, ra, cb)
-    for i in range(ra):
-        arow = a[i]
-        orow = out[i]
-        for k in range(ca):
-            aik = arow[k]
+    for arow, orow in zip(a, out):
+        for aik, brow in zip(arow, b):
             if aik == 0:
                 continue
-            brow = b[k]
-            for j in range(cb):
-                if brow[j] != 0:
-                    orow[j] = field.add(orow[j], field.mul(aik, brow[j]))
+            if p:
+                for j, x in enumerate(brow):
+                    if x:
+                        orow[j] = (orow[j] + aik * x) % p
+            else:
+                for j, x in enumerate(brow):
+                    if x:
+                        orow[j] += aik * x
     return out
 
 
 def mat_add(field: FieldSpec, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    p = field.p
+    if p:
+        return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(field: FieldSpec, c, a):
-    return [[field.mul(c, x) for x in row] for row in a]
+    p = field.p
+    if p:
+        return [[c * x % p for x in row] for row in a]
+    return [[c * x for x in row] for row in a]
 
 
 def transpose(m: list[list]) -> list[list]:
@@ -85,16 +93,11 @@ def transpose(m: list[list]) -> list[list]:
 
 
 def mat_vec(field: FieldSpec, m: list[list], v: list) -> list:
-    rows, cols = shape(m)
-    out = [field.zero] * rows
-    for i in range(rows):
-        acc = field.zero
-        row = m[i]
-        for j in range(cols):
-            if row[j] != 0 and v[j] != 0:
-                acc = field.add(acc, field.mul(row[j], v[j]))
-        out[i] = acc
-    return out
+    p, zero = field.p, field.zero
+    nz = [(j, v[j]) for j in range(shape(m)[1]) if v[j] != 0]
+    if p:
+        return [sum(row[j] * x for j, x in nz) % p for row in m]
+    return [sum((row[j] * x for j, x in nz if row[j] != 0), zero) for row in m]
 
 
 def hstack(blocks: list[list[list]]) -> list[list]:

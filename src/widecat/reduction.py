@@ -6,7 +6,9 @@ part or the shifted projectives, and with Hom_W(X, tau_W U) = 0 for every
 module summand U (`hom_tau_vanishes`).  Like Jasso's reduction
 U^perp & perp(tau U), that is an intersection over the summands: each
 summand's set is kept under `("perp", w.key, key)`, so `wide_of` of an object
-intersects the sets of its summands.  The reduction bijection E is
+intersects the sets of its summands.  It returns the context's one
+`WideSubcategory` for the result (`taurigid.world`), shared by every object
+and every morphism that reaches it.  The reduction bijection E is
 computed on one summand by `e_map_key`, tabulated once per (W, object) by
 `e_table`, and read from that table by `e_map` and its inverse `f_map`.
 The table's domain is read from the clique set of C(W): the keys k, sharing
@@ -49,7 +51,8 @@ from .modules import (Module, decompose, hom_basis, hstack_morphisms, kernel,
                       zero_module, zero_morphism)
 from .taurigid import (CObject, Homs, Key, WideSubcategory, candidate_keys, cover_in,
                        ext_projective_ids, hom_tau_vanishes,
-                       is_support_tau_rigid, strigid_positions, torsion_free_quotient)
+                       is_support_tau_rigid, strigid_positions, torsion_free_quotient,
+                       world)
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -69,7 +72,7 @@ def _wide_of(ctx: Context, w: WideSubcategory, obj: CObject) -> WideSubcategory:
     members = w.members
     for key in obj.keys():
         members = members & ctx.cached(("perp", w.key, key), _perp, ctx, w, key)
-    return WideSubcategory(members)
+    return world(ctx, members)
 
 
 def _perp(ctx: Context, w: WideSubcategory, key: Key) -> frozenset[int]:

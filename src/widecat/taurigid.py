@@ -120,12 +120,17 @@ class WideSubcategory:
         return "{" + ",".join(ctx.label(i) for i in self.key) + "}"
 
 
+def world(ctx: Context, members: frozenset[int]) -> WideSubcategory:
+    """The context's one `WideSubcategory` with these members."""
+    return ctx.cached(("world", members), WideSubcategory, members)
+
+
 def full_subcategory(ctx: Context) -> WideSubcategory:
     return ctx.cached("full", _whole_module_category, ctx)
 
 
 def _whole_module_category(ctx: Context) -> WideSubcategory:
-    return WideSubcategory(frozenset(ctx.ind_ids()))
+    return world(ctx, frozenset(ctx.ind_ids()))
 
 
 # -- torsion machinery ----------------------------------------------------------

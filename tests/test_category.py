@@ -2,19 +2,22 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import pytest
 
 from widecat.algebra import QuiverPresentation, build_algebra
-from widecat.category import (WideCategory, _irreducible_edges, category_dot,
-                              category_json, enumerate_wide_subcategories,
-                              identity_of, morphism)
+from widecat.category import (WideCategory, WideCatMorphism, _irreducible_edges,
+                              category_dot, category_json,
+                              enumerate_wide_subcategories, identity_of, morphism)
 from widecat.context import build_context
 from widecat.errors import NotComposable, NotSupportTauRigid
+from widecat.reduction import wide_of
 from widecat.sequences import enumerate_signed_sequences
 from widecat.textio import parse_algebra_text
-from widecat.taurigid import (CObject, ZERO_COBJECT, full_subcategory,
-                              stilting_objects, strigid_objects)
+from widecat.taurigid import (CObject, WideSubcategory, ZERO_COBJECT,
+                              full_subcategory, stilting_objects, strigid_objects)
+from widecat.verify import run_verify
 from conftest import CORPUS, load_context
 
 sys.path.insert(0, str(CORPUS.parent / "bench"))
@@ -103,8 +106,12 @@ def test_composition_and_identities(tri_ctx, tri_ids, tri_cat):
 def test_compose_rejects_mismatched_ends(tri_ctx, tri_ids, tri_cat):
     full = wide_by_members(tri_cat, tri_ids.values())
     m_s2 = morphism(tri_ctx, full, CObject.of((tri_ids["S2"],)))
+    m_p1 = morphism(tri_ctx, full, CObject.of((tri_ids["P1"],)))
     with pytest.raises(NotComposable):
         tri_cat.compose(m_s2, m_s2)
+    with pytest.raises(NotComposable) as err:
+        tri_cat.compose(m_s2, m_p1)
+    assert f"{m_s2.describe(tri_ctx)} after {m_p1.describe(tri_ctx)}" in str(err.value)
 
 
 def test_morphism_rejects_bad_label(tri_ctx, tri_ids, tri_cat):
@@ -277,3 +284,46 @@ def test_preprojective_census(pre_ctx, pre_ids):
     assert mem == {frozenset(), frozenset(pre_ids.values()),
                    frozenset([pre_ids["P1"]]), frozenset([pre_ids["P2"]]),
                    frozenset([pre_ids["S1"]]), frozenset([pre_ids["S2"]])}
+
+
+def _worlds(value):
+    """The `WideSubcategory`s a memo value holds: itself, the entries of a
+    tuple, or the ends of the morphisms in a Hom-set table."""
+    if isinstance(value, WideSubcategory):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _worlds(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _worlds(v)
+    elif isinstance(value, WideCatMorphism):
+        yield from (value.source, value.target)
+
+
+def test_one_world_object_per_member_set():
+    """After every suite, the memos hold one `WideSubcategory` per member set,
+    and the morphisms they hold carry no instance dict."""
+    ctx = load_context("a4.alg")
+    assert all(r.ok for r in run_verify(ctx))
+    kinds = ("wide_of", "world", "full", "wides", "homs")
+    values = [v for k, v in ctx.memo.items()
+              if (k[0] if isinstance(k, tuple) else k) in kinds]
+    worlds = [w for v in values for w in _worlds(v)]
+    assert len(worlds) > 1000
+    assert len({id(w) for w in worlds}) == len({w.members for w in worlds}) == 42
+    full = full_subcategory(ctx)
+    assert full is wide_of(ctx, full, ZERO_COBJECT) is enumerate_wide_subcategories(ctx)[0]
+    cat = WideCategory(ctx)
+    assert not any(hasattr(m, "__dict__") for m in cat.all_morphisms())
+
+
+def test_category_json_peaks_below_three_times_its_output():
+    cat = WideCategory(load_context("d4.alg"))
+    tracemalloc.start()
+    try:
+        out = category_json(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(out)

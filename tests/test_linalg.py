@@ -354,23 +354,42 @@ def test_independent_columns_match_generic_gauss_jordan(fd, data):
         [c - nbase for c in pivots if c >= nbase]
 
 
+def _reference_products(fd, m, x0, v, c):
+    """matmul, mat_vec, mat_add and mat_scale with one FieldSpec call per cell."""
+    def dot(row, col):
+        s = fd.zero
+        for a, b in zip(row, col):
+            s = fd.add(s, fd.mul(a, b))
+        return s
+    return ([[dot(row, col) for col in zip(*x0)] for row in m],
+            [dot(row, v) for row in m],
+            [[fd.add(a, b) for a, b in zip(r, r2)] for r, r2 in zip(m, m[::-1])],
+            [[fd.mul(c, a) for a in row] for row in m])
+
+
 @pytest.mark.parametrize("fd", FIELDS, ids=lambda f: f.name())
 def test_kernel_makes_no_per_cell_field_calls(fd, monkeypatch):
-    """rref, nullspace and solve_matrix eliminate without FieldSpec arithmetic."""
+    """rref, nullspace, solve_matrix and the four products run without
+    FieldSpec arithmetic, and keep the values and element types."""
     m = [[fd.of(Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i * j) % 4)) for j in range(8)]
          for i in range(6)]
     m[4] = [fd.mul(fd.of(2), x) for x in m[1]]  # a repeated row
     x0 = [[fd.of(j - i) for j in range(2)] for i in range(8)]
-    b = linalg.matmul(fd, m, x0)
+    v, c = [fd.of(Fraction(j % 3, 2)) for j in range(8)], fd.of(Fraction(-5, 3))
+    b = _reference_products(fd, m, x0, v, c)[0]
     want = (_reference_rref(fd, m), _reference_nullspace(fd, m, 8),
-            _reference_solve_matrix(fd, m, b, 8))
+            _reference_solve_matrix(fd, m, b, 8)) + _reference_products(fd, m, x0, v, c)
 
     def boom(*args):
-        raise AssertionError("per-cell FieldSpec arithmetic in the elimination")
+        raise AssertionError("per-cell FieldSpec arithmetic in the kernel")
     for name in ("add", "sub", "mul", "inv"):
         monkeypatch.setattr(FieldSpec, name, boom)
     got = (linalg.rref(fd, m), linalg.nullspace(fd, m, 8),
-           linalg.solve_matrix(fd, m, b, 8, 2))
+           linalg.solve_matrix(fd, m, b, 8, 2), linalg.matmul(fd, m, x0),
+           linalg.mat_vec(fd, m, v), linalg.mat_add(fd, m, m[::-1]),
+           linalg.mat_scale(fd, c, m))
     monkeypatch.undo()
     assert got == want
+    cells = [x for k in (3, 5, 6) for row in got[k] for x in row] + got[4]
+    assert {type(x) for x in cells} == {int if fd.p else Fraction}
     assert len(want[1]) == 8 - len(want[0][1]) >= 3

@@ -292,6 +292,37 @@ def test_faulty_phi_is_reported_not_raised(name, monkeypatch):
     assert all(r.ok for r in reports if r.suite != "sequences")
 
 
+def _perp_without_tau(monkeypatch):
+    """wide_of drops the Hom_W(X, tau_W U) = 0 condition of a module summand."""
+    monkeypatch.setattr(reduction, "_perp", lambda ctx, w, key: frozenset(
+        x for x in w.key if ctx.hom_dim(key[1], x) == 0))
+
+
+def _shifted_key_unchanged(monkeypatch):
+    """Case II(b) returns the shifted summand it was given."""
+    stage = reduction._e_shift_stage
+    monkeypatch.setattr(reduction, "_e_shift_stage", lambda ctx, w1, q_ids, key: (
+        key if q_ids and key[0] == "s" else stage(ctx, w1, q_ids, key)))
+
+
+@pytest.mark.parametrize("plant", [_perp_without_tau, _shifted_key_unchanged],
+                         ids=["perp-without-tau", "case-IIb-unchanged"])
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_planted_reduction_fault_is_reported_not_raised(name, plant, monkeypatch):
+    """Every suite runs to its end, several report the fault, and a failure
+    names the world and the object reduced by."""
+    ctx = load_context(name)
+    plant(monkeypatch)
+    reports = run_verify(ctx)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    assert sum(not r.ok for r in reports) >= 5
+    full = full_subcategory(ctx)
+    assert full.describe(ctx) == "mod"
+    names = [u.describe(ctx) for u in strigid_objects(ctx, full) if not u.is_zero]
+    assert any(f" by {u} in mod: " in f.counterexample
+               for r in reports for f in r.failures for u in names)
+
+
 # Cluster-complex f-vectors (f_0 = 1 for the zero object, then faces by
 # size) from Fomin-Zelevinsky, arXiv hep-th/0111053.  Every support
 # tau-rigid T gives 2^|T| splits u + v (composition), 3^|T| splits
