@@ -198,10 +198,11 @@ class Context:
         and what it is derived from.  The kinds: rad (arquiver); world,
         full, strigid, extproj (taurigid); wide_of, perp, relpres, f_U,
         etable, finv (reduction); wides, homs (category); link (verify);
-        phi, phi_inverse, singles (sequences).
+        phi, phi_inverse (sequences).
         Only successes are stored, so a failing input raises on every call;
-        the last three are dicts that their module grows by the same rule.
+        the last two are dicts that their module grows by the same rule.
         No other value changes once stored, and none refers to the context.
+        `CObject`'s one instance per mask is not a memo (see `taurigid`).
         Pass the function and its arguments, not a closure, to keep hits cheap.
         """
         if key in self.memo:

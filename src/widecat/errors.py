@@ -66,7 +66,12 @@ class NotCompatible(WidecatError):
 
 
 class CaseDispatchError(WidecatError):
-    """Internal reduction-map postcondition failed."""
+    """Internal reduction-map postcondition failed.  `e_map_key` re-raises it
+    with the world, the reducing object and the summand key as its fields."""
+
+    def __init__(self, message: str, world=None, obj=None, key=None):
+        super().__init__(message)
+        self.world, self.obj, self.key = world, obj, key
 
 
 class NotInImage(WidecatError):

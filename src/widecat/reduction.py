@@ -189,7 +189,7 @@ def e_map_key(ctx: Context, w: WideSubcategory, obj: CObject, key: Key) -> Key:
     """The reduction bijection on a single summand key.
 
     A failed postcondition of any stage is re-raised naming W, the object
-    and the summand by their labels."""
+    and the summand by their labels, and holding them as its fields."""
     try:
         if obj.mods and obj.shifts:
             # E along U + Q[1] is E along E_U(Q[1]) after E along U: read both
@@ -211,12 +211,8 @@ def e_map_key(ctx: Context, w: WideSubcategory, obj: CObject, key: Key) -> Key:
         return out
     except CaseDispatchError as exc:
         raise CaseDispatchError(
-            f"reducing {_key_label(ctx, key)} by {obj.describe(ctx)} in "
-            f"{w.describe(ctx)}: {exc}") from exc
-
-
-def _key_label(ctx: Context, key: Key) -> str:
-    return CObject.from_keys([key]).describe(ctx)
+            f"reducing {CObject.from_keys((key,)).describe(ctx)} by "
+            f"{obj.describe(ctx)} in {w.describe(ctx)}: {exc}", w, obj, key) from exc
 
 
 def e_map(ctx: Context, w: WideSubcategory, obj: CObject, x: CObject) -> CObject:
@@ -245,10 +241,9 @@ def e_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
 
 def _e_table(ctx: Context, w: WideSubcategory, obj: CObject) -> dict[Key, Key]:
     wide_of(ctx, w, obj)  # raises NotSupportTauRigid unless obj is rigid in W
-    classes = set(obj.mods + obj.shifts)
     positions = strigid_positions(ctx, w)
     return {k: e_map_key(ctx, w, obj, k) for k in candidate_keys(ctx, w)
-            if k[1] not in classes and CObject.from_keys(obj.keys() + [k]) in positions}
+            if obj.extended(k) in positions}
 
 
 def f_map(ctx: Context, w: WideSubcategory, obj: CObject, y: CObject) -> CObject:
@@ -262,8 +257,8 @@ def f_map_keys(ctx: Context, w: WideSubcategory, obj: CObject, keys) -> list[Key
     for k in keys:
         if k not in inverse:
             raise NotInImage(
-                f"summand {_key_label(ctx, k)} is not a reduction image for "
-                f"{obj.describe(ctx)} in {w.describe(ctx)}")
+                f"summand {CObject.from_keys((k,)).describe(ctx)} is not a "
+                f"reduction image for {obj.describe(ctx)} in {w.describe(ctx)}")
     return [inverse[k] for k in keys]
 
 

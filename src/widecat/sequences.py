@@ -9,13 +9,12 @@ through the inverse reduction bijections; `phi_inverse` undoes it.  The same
 machinery lists all factorizations of a category morphism into irreducible
 morphisms: they correspond exactly to the orderings of the label's summands.
 
-Both directions recurse on tuples of summand keys, check their input level
-by level on a memo miss, and are memoized per world W in the dicts kept by
-`Context.cached` under `("phi", w.key)` and `("phi_inverse", w.key)`, each
-from a key tuple of two or more summands to the result key tuple; a hit
-stands for a check that has passed.  The memos hold keys only, and only the
-shared copies in `"singles"` (summand key -> that copy and its
-single-summand object); results are built from those shared objects.
+Both directions recurse on tuples of single-summand objects, check their
+input level by level on a memo miss, and are memoized per world W in the
+dicts kept by `Context.cached` under `("phi", w.key)` and `("phi_inverse",
+w.key)`, each from a tuple of two or more entries to the result tuple; a
+hit stands for a check that has passed.  The entries are the interned
+objects (see `CObject`), shared with every other holder, hashed by identity.
 """
 from __future__ import annotations
 
@@ -26,7 +25,7 @@ from .category import WideCategory, WideCatMorphism, morphism
 from .context import Context
 from .errors import NotExceptional, WidecatError
 from .reduction import e_table, f_map_keys, wide_of
-from .taurigid import (CObject, Key, WideSubcategory, candidate_keys,
+from .taurigid import (CObject, WideSubcategory, candidate_keys,
                        is_support_tau_rigid, strigid_objects)
 
 
@@ -77,40 +76,30 @@ def ordered_strigid_objects(ctx: Context, w: WideSubcategory,
     return out
 
 
-def _canonical(ctx: Context, keys) -> tuple[Key, ...]:
-    """The shared copies of the given summand keys (see the module docstring)."""
-    singles = ctx.cached("singles", dict)
-    for k in keys:
-        if k not in singles:
-            singles[k] = (k, CObject.from_keys([k]))
-    return tuple(singles[k][0] for k in keys)
-
-
 def phi(ctx: Context, w: WideSubcategory, entries) -> tuple[CObject, ...]:
     """Sequence -> ordered object: pull entries back to C(W) and keep order."""
     entries = tuple(entries)
     if any(e.delta != 1 for e in entries):
         raise NotExceptional("entries of a signed sequence must be indecomposable")
-    keys = _canonical(ctx, [e.keys()[0] for e in entries])
-    singles = ctx.cached("singles", dict)
-    return tuple(singles[k][1] for k in _phi(ctx, w, keys))
+    return _phi(ctx, w, entries)
 
 
-def _phi(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
-         ) -> tuple[Key, ...]:
-    """`phi` on canonical summand keys, checked at every level it computes."""
-    if not keys:
-        return keys
+def _phi(ctx: Context, w: WideSubcategory, entries: tuple[CObject, ...]
+         ) -> tuple[CObject, ...]:
+    """`phi` on single-summand objects, checked at every level it computes."""
+    if not entries:
+        return entries
     memo = ctx.cached(("phi", w.key), dict)
-    if keys in memo:
-        return memo[keys]
-    last = ctx.cached("singles", dict)[keys[-1]][1]
+    if entries in memo:
+        return memo[entries]
+    last = entries[-1]
     if not is_support_tau_rigid(ctx, w, last):
         raise NotExceptional("input is not a signed exceptional sequence")
-    if len(keys) == 1:
-        return keys
-    inner = _phi(ctx, wide_of(ctx, w, last), keys[:-1])
-    out = memo[keys] = _canonical(ctx, f_map_keys(ctx, w, last, inner)) + keys[-1:]
+    if len(entries) == 1:
+        return entries
+    inner = _phi(ctx, wide_of(ctx, w, last), entries[:-1])
+    pulled = f_map_keys(ctx, w, last, [e.keys()[0] for e in inner])
+    out = memo[entries] = tuple(CObject.from_keys((k,)) for k in pulled) + entries[-1:]
     return out
 
 
@@ -119,27 +108,24 @@ def phi_inverse(ctx: Context, w: WideSubcategory, ordered) -> tuple[CObject, ...
     ordered = tuple(ordered)
     if any(v.delta != 1 for v in ordered):
         raise NotExceptional("entries of an ordered object must be indecomposable")
-    keys = _canonical(ctx, [v.keys()[0] for v in ordered])
-    singles = ctx.cached("singles", dict)
-    return tuple(singles[k][1] for k in _phi_inverse(ctx, w, keys))
+    return _phi_inverse(ctx, w, ordered)
 
 
-def _phi_inverse(ctx: Context, w: WideSubcategory, keys: tuple[Key, ...]
-                 ) -> tuple[Key, ...]:
-    """`phi_inverse` on canonical summand keys, checked at every level."""
+def _phi_inverse(ctx: Context, w: WideSubcategory, entries: tuple[CObject, ...]
+                 ) -> tuple[CObject, ...]:
+    """`phi_inverse` on single-summand objects, checked at every level."""
     memo = ctx.cached(("phi_inverse", w.key), dict)
-    if keys in memo:
-        return memo[keys]
-    total = CObject.from_keys(keys)
-    if total.delta != len(keys) or not is_support_tau_rigid(ctx, w, total):
+    if entries in memo:
+        return memo[entries]
+    total = CObject.from_keys([e.keys()[0] for e in entries])
+    if total.delta != len(entries) or not is_support_tau_rigid(ctx, w, total):
         raise NotExceptional("summands do not form a support tau-rigid object")
-    if len(keys) <= 1:
-        return keys
-    last = ctx.cached("singles", dict)[keys[-1]][1]
+    if len(entries) <= 1:
+        return entries
+    last = entries[-1]
     table = e_table(ctx, w, last)
-    mapped = _canonical(ctx, [table[k] for k in keys[:-1]])
-    out = _phi_inverse(ctx, wide_of(ctx, w, last), mapped) + keys[-1:]
-    memo[keys] = out
+    mapped = tuple(CObject.from_keys((table[e.keys()[0]],)) for e in entries[:-1])
+    out = memo[entries] = _phi_inverse(ctx, wide_of(ctx, w, last), mapped) + entries[-1:]
     return out
 
 

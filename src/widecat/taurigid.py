@@ -39,54 +39,61 @@ Key = tuple[str, int]
 Homs = dict[int, list[ModuleMorphism]]
 
 
-@dataclass(frozen=True, slots=True)
+# The bit of a summand in a CObject mask: module i is bit 2i, shift i 2i + 1.
+_KIND_BIT = {"m": 0, "s": 1}
+
+
 class CObject:
     """A basic object of the shifted-projectives category: U + P[1].
 
-    Slotted, since the memos keep many.  `of` sorts and de-duplicates its
-    input, so of the constructor's checks it repeats only the overlap one."""
+    One int `mask` of summand bits and what it derives, made once: `_INTERNED`
+    keeps one instance per mask, as `sys.intern` keeps one string per value (a
+    mask means the same in every context, so this is not a memo).  Every
+    constructor, copy and pickle returns it, so == and hash are identity."""
 
-    mods: tuple[int, ...]
-    shifts: tuple[int, ...]
+    __slots__ = ("mask", "classes", "mods", "shifts", "delta", "_keys")
 
-    def __post_init__(self):
-        if list(self.mods) != sorted(set(self.mods)):
-            raise NotSupportTauRigid("module summands must be distinct (basic object)")
-        if list(self.shifts) != sorted(set(self.shifts)):
-            raise NotSupportTauRigid("shifted summands must be distinct (basic object)")
-        _check_disjoint(self.mods, self.shifts)
+    def __new__(cls, mods=(), shifts=()):
+        for part, what in ((mods, "module"), (shifts, "shifted")):
+            if list(part) != sorted(set(part)):
+                raise NotSupportTauRigid(f"{what} summands must be distinct (basic object)")
+        return CObject.of(mods, shifts)
 
     @staticmethod
     def of(mods=(), shifts=()) -> "CObject":
-        mods, shifts = tuple(sorted(set(mods))), tuple(sorted(set(shifts)))
-        _check_disjoint(mods, shifts)
-        obj = object.__new__(CObject)
-        object.__setattr__(obj, "mods", mods)
-        object.__setattr__(obj, "shifts", shifts)
-        return obj
+        return _interned(sum({1 << 2 * i for i in mods} | {2 << 2 * i for i in shifts}))
 
     @staticmethod
     def from_keys(keys) -> "CObject":
-        mods = [i for kind, i in keys if kind == "m"]
-        shifts = [i for kind, i in keys if kind == "s"]
-        return CObject.of(mods, shifts)
+        mask = 0
+        for kind, i in keys:
+            mask |= 1 << 2 * i + _KIND_BIT[kind]
+        return _interned(mask)
 
-    @property
-    def delta(self) -> int:
-        return len(self.mods) + len(self.shifts)
+    def __setattr__(self, name, value):
+        raise AttributeError("CObject is immutable")
+
+    def __reduce__(self):
+        return _interned, (self.mask,)
 
     @property
     def is_zero(self) -> bool:
-        return not self.mods and not self.shifts
+        return not self.mask
 
-    def keys(self) -> list[Key]:
-        return [("m", i) for i in self.mods] + [("s", i) for i in self.shifts]
+    def keys(self) -> tuple[Key, ...]:
+        return self._keys
 
     def union(self, other: "CObject") -> "CObject":
-        overlap = (set(self.mods) & set(other.mods)) | (set(self.shifts) & set(other.shifts))
-        if overlap or (set(self.mods) & set(other.shifts)) or (set(self.shifts) & set(other.mods)):
+        if self.classes & other.classes:
             raise NotSupportTauRigid("summand sets overlap; union is not basic")
-        return CObject.of(self.mods + other.mods, self.shifts + other.shifts)
+        return _interned(self.mask | other.mask)
+
+    def extended(self, key: Key) -> "CObject | None":
+        """self + key if key's class is new to self and that object exists
+        (every clique does), else None; it makes no object."""
+        if self.classes >> 2 * key[1] & 1:
+            return None
+        return _INTERNED.get(self.mask | 1 << 2 * key[1] + _KIND_BIT[key[0]])
 
     def describe(self, ctx: Context) -> str:
         parts = [ctx.label(i) for i in self.mods] + \
@@ -94,12 +101,30 @@ class CObject:
         return "+".join(parts) if parts else "0"
 
 
-def _check_disjoint(mods, shifts) -> None:
-    if not set(mods).isdisjoint(shifts):
+_INTERNED: dict[int, CObject] = {}
+
+
+def _interned(mask: int) -> CObject:
+    """The one CObject with this mask, made on first sight if it is basic."""
+    try:
+        return _INTERNED[mask]
+    except KeyError:
+        pass
+    bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    mods = tuple(b >> 1 for b in bits if not b & 1)
+    shifts = tuple(b >> 1 for b in bits if b & 1)
+    plain = sum(1 << 2 * i for i in mods)
+    if plain & mask >> 1:
         raise NotSupportTauRigid("a class appears both plain and shifted")
+    keys = tuple([("m", i) for i in mods] + [("s", i) for i in shifts])
+    obj = _INTERNED[mask] = object.__new__(CObject)
+    for name, value in zip(CObject.__slots__, (mask, plain | (mask ^ plain) >> 1,
+                                               mods, shifts, len(bits), keys)):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-ZERO_COBJECT = CObject((), ())
+ZERO_COBJECT = CObject.of()
 
 
 @dataclass(frozen=True)

@@ -206,17 +206,14 @@ def _link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
 
 def _build_link(ctx: Context) -> dict[CObject, tuple[CObject, ...]]:
     position = strigid_positions(ctx, full_subcategory(ctx))
-    objs = list(position)
     link: dict[CObject, list[CObject]] = {}
-    for y in objs:
+    for y in position:
         keys = y.keys()
         for mask in range(1 << len(keys)):
             face = CObject.from_keys(
                 [k for b, k in enumerate(keys) if mask >> b & 1])
-            rest = CObject.from_keys(
-                [k for b, k in enumerate(keys) if not mask >> b & 1])
-            link.setdefault(objs[position[face]], []).append(
-                objs[position[rest]])
+            link.setdefault(face, []).append(CObject.from_keys(
+                [k for b, k in enumerate(keys) if not mask >> b & 1]))
     return {s: tuple(sorted(xs, key=position.__getitem__))
             for s, xs in link.items()}
 

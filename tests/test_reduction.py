@@ -178,7 +178,8 @@ def test_errors(tri_ctx, tri_ids):
 def test_case_dispatch_errors_name_world_object_and_summand(
         tri_ctx, tri_ids, monkeypatch, patched, obj, key, failure):
     """A case whose result leaves the reduced world raises, and the error
-    names the world, the reducing object and the summand by their labels."""
+    names the world, the reducing object and the summand by their labels,
+    and holds them as its fields."""
     w = wide_of(tri_ctx, full_subcategory(tri_ctx), CObject.of((), (tri_ids["P3"],)))
     assert w.describe(tri_ctx) == "{I1,I2,S2}"
     u = tri_ids[obj]
@@ -187,8 +188,10 @@ def test_case_dispatch_errors_name_world_object_and_summand(
     kind, label = key
     shown = label + ("[1]" if kind == "s" else "")
     with pytest.raises(CaseDispatchError, match="^" + re.escape(
-            f"reducing {shown} by {obj} in {{I1,I2,S2}}: {failure}") + "$"):
+            f"reducing {shown} by {obj} in {{I1,I2,S2}}: {failure}") + "$") as info:
         e_map_key(tri_ctx, w, CObject.of((u,)), (kind, tri_ids[label]))
+    assert (info.value.world, info.value.obj, info.value.key) == \
+        (w, CObject.of((u,)), (kind, tri_ids[label]))
 
 
 def test_a2_reductions(a2_ctx, a2_ids):

@@ -207,17 +207,20 @@ def test_memoized_phi_inverse_matches_the_definition(name):
 def test_phi_memos_stay_lean():
     """After every suite on A4, each world's phi and phi_inverse memos hold
     at most one entry per ordered object (or sequence, as many) of two or
-    more summands, made of the shared canonical summand keys, not copies."""
+    more summands, made of the shared interned single-summand objects and
+    their shared keys, not copies."""
     ctx = load_context("a4.alg")
     assert all(r.ok for r in run_verify(ctx))
-    singles = ctx.memo["singles"]
     memos = 0
     for w in enumerate_wide_subcategories(ctx):
         bound = len(_ordered_objects(ctx, w))
         for kind in ("phi", "phi_inverse"):
             memo = ctx.memo.get((kind, w.key), {})
             assert len(memo) <= bound
-            for keys, value in memo.items():
-                assert all(k is singles[k][0] for k in keys + value)
+            for entries, value in memo.items():
+                for e in entries + value:
+                    shared = CObject.from_keys(e.keys())
+                    assert e.delta == 1 and e is shared
+                    assert e.keys()[0] is shared.keys()[0]
             memos += bool(memo)
     assert memos > 0

@@ -1,5 +1,7 @@
 """Torsion functors, rigidity predicates, approximations, completions."""
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -115,6 +117,67 @@ def test_cobject_of_normalises_and_keeps_the_overlap_check():
     with pytest.raises(NotSupportTauRigid):
         CObject((3, 1), ())
     assert not hasattr(built, "__dict__")
+
+
+def test_equal_objects_are_one_interned_instance():
+    """Every constructor, copy and pickle returns the one object per summand
+    set, so equality and hashing are identity."""
+    obj = CObject((1, 3), (2,))
+    same = [CObject.of((3, 1, 3), (2,)),
+            CObject.from_keys([("s", 2), ("m", 3), ("m", 1)]),
+            CObject.of((1,)).union(CObject.of((3,), (2,))),
+            copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))]
+    assert all(o is obj for o in same)
+    assert ZERO_COBJECT is CObject.of() is CObject() is CObject.from_keys(())
+    assert "__eq__" not in vars(CObject) and "__hash__" not in vars(CObject)
+    assert obj.keys() == (("m", 1), ("m", 3), ("s", 2))
+    with pytest.raises(AttributeError):
+        obj.mods = (1,)
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: CObject((3, 1), ()), "module summands must be distinct (basic object)"),
+    (lambda: CObject((1, 1), ()), "module summands must be distinct (basic object)"),
+    (lambda: CObject((), (2, 2)), "shifted summands must be distinct (basic object)"),
+    (lambda: CObject((1,), (1,)), "a class appears both plain and shifted"),
+    (lambda: CObject.of((1, 2), (2,)), "a class appears both plain and shifted"),
+    (lambda: CObject.from_keys([("m", 4), ("s", 4)]),
+     "a class appears both plain and shifted"),
+    (lambda: CObject.of((1,)).union(CObject.of((), (1,))),
+     "summand sets overlap; union is not basic"),
+    (lambda: CObject.of((1,)).union(CObject.of((1, 2))),
+     "summand sets overlap; union is not basic"),
+])
+def test_cobject_rejections_keep_their_text(build, text):
+    """A rejected summand set raises on every attempt: none is kept."""
+    for _ in range(2):
+        with pytest.raises(NotSupportTauRigid) as info:
+            build()
+        assert str(info.value) == text
+
+
+def test_cobject_class_ids_have_no_fixed_width():
+    big = CObject.of((600, 3), (601,))
+    assert (big.mods, big.shifts, big.delta) == ((3, 600), (601,), 3)
+    assert big.keys() == (("m", 3), ("m", 600), ("s", 601))
+    assert big is CObject.from_keys(big.keys()) is CObject((3, 600), (601,))
+    assert big.union(CObject.of((), (1000,))).shifts == (601, 1000)
+    with pytest.raises(NotSupportTauRigid):
+        CObject.of((600,), (600,))
+    with pytest.raises(NotSupportTauRigid):
+        big.union(CObject.of((), (600,)))
+
+
+def test_strigid_order_is_delta_mods_shifts():
+    """On A4, each world's objects come sorted by (delta, mods, shifts), and
+    the strigid memo maps each to its position, in that order."""
+    ctx = load_context("a4.alg")
+    for w in enumerate_wide_subcategories(ctx):
+        objs = strigid_objects(ctx, w)
+        order = [(o.delta, o.mods, o.shifts) for o in objs]
+        assert order == sorted(set(order))
+        assert list(ctx.memo[("strigid", w.key)].items()) == \
+            [(o, k) for k, o in enumerate(objs)]
 
 
 def test_rigidity_is_not_the_brick_condition(tri_ctx, tri_ids):

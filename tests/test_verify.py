@@ -5,10 +5,11 @@ import weakref
 import pytest
 
 from widecat import reduction, sequences, verify
-from widecat.category import WideCategory, identity_of
+from widecat.category import (WideCategory, enumerate_wide_subcategories,
+                              identity_of)
 from widecat.errors import BudgetExceeded, WidecatError
 from widecat.reduction import e_table
-from widecat.taurigid import full_subcategory, strigid_objects
+from widecat.taurigid import candidate_keys, full_subcategory, strigid_objects
 from widecat.verify import (SUITE_NAMES, VerificationReport, run_suite,
                             run_verify)
 from conftest import load_context
@@ -321,6 +322,36 @@ def test_planted_reduction_fault_is_reported_not_raised(name, plant, monkeypatch
     names = [u.describe(ctx) for u in strigid_objects(ctx, full) if not u.is_zero]
     assert any(f" by {u} in mod: " in f.counterexample
                for r in reports for f in r.failures for u in names)
+
+
+def _phi_inverse_reduces_nothing(monkeypatch):
+    """phi_inverse reads a table that maps every summand to itself."""
+    monkeypatch.setattr(sequences, "e_table", lambda ctx, w, obj: {
+        k: k for k in candidate_keys(ctx, w)})
+
+
+def _f_returns_its_input(monkeypatch):
+    """f_map_keys returns the summand keys it was given, not pulled back."""
+    for module in (reduction, sequences):
+        monkeypatch.setattr(module, "f_map_keys", lambda ctx, w, obj, keys: list(keys))
+
+
+@pytest.mark.parametrize("plant", [_phi_inverse_reduces_nothing, _f_returns_its_input],
+                         ids=["phi-inverse-unreduced", "f-map-keys-unpulled"])
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_planted_sequence_fault_is_reported_not_raised(name, plant, monkeypatch):
+    """Every suite runs to its end, and the sequences suite reports a round
+    trip that names its world and its entries."""
+    ctx = load_context(name)
+    worlds = ["{" + ",".join(ctx.label(i) for i in w.key) + "}"
+              for w in enumerate_wide_subcategories(ctx)]
+    plant(monkeypatch)
+    reports = run_verify(ctx)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    seqs = reports[SUITE_NAMES.index("sequences")]
+    assert any(f.check.endswith("round-trip")
+               and f.counterexample.startswith(f"inside {m}: ['")
+               for f in seqs.failures for m in worlds)
 
 
 # Cluster-complex f-vectors (f_0 = 1 for the zero object, then faces by
