@@ -198,8 +198,9 @@ class Algebra:
                     for p, c in row.items():
                         vec[col_of[p]] = c
                     dense.append(vec)
-            reduced = linalg.row_space_reduce(f, dense)
-            leads = {next(j for j, x in enumerate(r) if x != 0): r for r in reduced}
+            reduced, pivots = linalg.rref(f, dense)
+            del reduced[len(pivots):]  # zero rows
+            leads = dict(zip(pivots, reduced))
             survivors = [p for j, p in enumerate(cols) if j not in leads]
             if not survivors:
                 break
@@ -249,27 +250,6 @@ class Algebra:
         if self.path_target(pj) != self.path_source(pi):
             return {}
         return self.reduce_path((pj[0], pj[1] + pi[1]))
-
-    def arrow_times_path(self, arrow_idx: int, path_basis_idx: int) -> dict[int, object]:
-        """Left multiplication of a basis path by one arrow (sparse result)."""
-        p = self.basis[path_basis_idx]
-        if self.path_target(p) != self.arrows[arrow_idx].source:
-            return {}
-        return self.reduce_path((p[0], p[1] + (arrow_idx,)))
-
-    def path_times_arrow(self, path_basis_idx: int, arrow_idx: int) -> dict[int, object]:
-        """Right multiplication: (path) * (arrow) = apply arrow first."""
-        p = self.basis[path_basis_idx]
-        a = self.arrows[arrow_idx]
-        if a.target != self.path_source(p):
-            return {}
-        return self.reduce_path((a.source, (arrow_idx,) + p[1]))
-
-    def path_label(self, i: int) -> str:
-        src, arrs = self.basis[i]
-        if not arrs:
-            return f"e_{self.vertex_labels[src]}"
-        return "*".join(self.arrows[a].label for a in reversed(arrs))
 
     def __repr__(self):
         return (f"Algebra({len(self.vertex_labels)} vertices, "

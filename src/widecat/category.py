@@ -5,8 +5,8 @@ carrying a basic support tau-rigid object T of C(W), with target the
 associated wide subcategory of T inside W.  Composition pulls the second
 label back through the inverse reduction bijection and takes the direct sum.
 Irreducible morphisms are exactly those with an indecomposable label,
-equivalently those whose target drops the rank by one; both readings are
-computed and cross-checked on every query.
+equivalently those whose target drops the rank by one; every query checks
+that the rank drop equals the number of label summands.
 
 Objects and morphism targets are the context's one `WideSubcategory` per
 member set (`wide_of` returns it), and morphisms are slotted, since the
@@ -92,17 +92,12 @@ class WideCategory:
 
     def __init__(self, ctx: Context, drop_zero_object: bool = False):
         self.ctx = ctx
-        self.drop_zero_object = drop_zero_object
         self.objects = [w for w in enumerate_wide_subcategories(ctx)
                         if w.members or not drop_zero_object]
         self.rank = {w.key: wide_rank(ctx, w) for w in self.objects}
-        self._index = {w.key: k for k, w in enumerate(self.objects)}
         self._homs = ctx.cached(("homs", drop_zero_object), _hom_sets, ctx,
                                 drop_zero_object)
         self._compose_memo: dict[tuple, WideCatMorphism] = {}
-
-    def object_index(self, w: WideSubcategory) -> int:
-        return self._index[w.key]
 
     def hom_set(self, w1: WideSubcategory, w2: WideSubcategory
                 ) -> list[WideCatMorphism]:
@@ -140,15 +135,10 @@ class WideCategory:
 
     def is_irreducible(self, m: WideCatMorphism) -> bool:
         """Indecomposable label; cross-checked against the rank drop."""
-        corank = self.corank(m)
-        by_label = m.label.delta == 1
-        if corank != m.label.delta:
+        if self.corank(m) != m.label.delta:
             raise WidecatError("rank drop disagrees with the number of label "
                                f"summands: {m.describe(self.ctx)}")
-        if by_label != (corank == 1):
-            raise WidecatError("irreducibility readings disagree (label vs "
-                               f"corank): {m.describe(self.ctx)}")
-        return by_label
+        return m.label.delta == 1
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +200,11 @@ def category_json(cat: WideCategory) -> str:
     def compact(m: WideCatMorphism) -> str:
         return "[" + ", ".join(pieces[k][0] for k in m.label.keys()) + "]"
 
-    index = [str(k) for k in range(len(cat.objects))]
+    index = {w.key: str(k) for k, w in enumerate(cat.objects)}
     # each list closes by overwriting the separator after its last element
     parts = [f'{{\n  "edges": {_indented(_irreducible_edges(cat), 1)},\n  "morphisms": ', "["]
-    for source, w in zip(index, cat.objects):
+    for w in cat.objects:
+        source = index[w.key]
         for hom in cat._homs.get(w.key, {}).values():
             for m in sorted(hom, key=compact):
                 parts += ('\n    {\n      "irreducible": ',
@@ -223,7 +214,7 @@ def category_json(cat: WideCategory) -> str:
                     parts += (pieces[k][1], ",")
                 parts[-1] = "\n      ]" if m.label.delta else "[]"
                 parts += (',\n      "source": ', source, ',\n      "target": ',
-                          index[cat.object_index(m.target)], "\n    },")
+                          index[m.target.key], "\n    },")
     parts[-1] = "[]" if parts[-1] == "[" else "\n    }\n  ]"
     parts.append(f',\n  "objects": {_indented(objects, 1)}\n}}\n')
     return "".join(parts)

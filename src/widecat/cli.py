@@ -121,7 +121,7 @@ def _cmd_modules(args) -> int:
     rows = [{"id": i, "label": ctx.label(i),
              "dimension_vector": list(ctx.dims(i)),
              "projective": ctx.is_projective(i),
-             "injective": i in ctx.injective_ids}
+             "injective": ctx.is_injective(i)}
             for i in ctx.ind_ids()]
     _emit(fmt, {"modules": rows}, map(_module_line, rows))
     return 0

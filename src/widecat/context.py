@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import linalg
 from .algebra import Algebra
 from .arquiver import almost_split_sequence
-from .errors import BudgetExceeded, InjectiveInput
+from .errors import BudgetExceeded, InjectiveInput, WidecatError
 from .homology import Presentation, ar_translate, ext1_dim, minimal_presentation
 from .modules import (Module, ModuleMorphism, cokernel, decompose, hom_basis,
                       indec_isomorphic, injective_module,
@@ -92,7 +92,9 @@ class Context:
         pieces = decompose(t)
         if not pieces:
             return None
-        assert len(pieces) == 1, "AR translate of an indecomposable split"
+        if len(pieces) != 1:
+            raise WidecatError(f"AR translate {t.dims} of an indecomposable split into "
+                               f"{', '.join(str(p.dims) for p in pieces)}")
         return self._register(pieces[0])
 
     def _socle_quotient(self, m: Module) -> Module:
@@ -196,7 +198,7 @@ class Context:
 
         The one memo policy: one entry per derived object, keyed by its kind
         and what it is derived from.  The kinds: rad (arquiver); world,
-        full, strigid, extproj (taurigid); wide_of, perp, relpres, f_U,
+        strigid, extproj (taurigid); wide_of, perp, relpres, f_U,
         etable, finv (reduction); wides, homs (category); link (verify);
         phi, phi_inverse (sequences).
         Only successes are stored, so a failing input raises on every call;

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra import Algebra
+from .errors import WidecatError
 from .modules import (Module, ModuleMorphism, cokernel, direct_sum,
-                      factor_through_inclusion, hom_basis, injective_envelope,
-                      injective_sum, kernel, linear_combination,
-                      projective_cover, projective_sum, zero_module,
+                      factor_through_inclusion, hom_basis, hstack_morphisms,
+                      injective_envelope, injective_sum, kernel,
+                      linear_combination, projective_cover, projective_sum,
+                      sum_inclusion, vstack_morphisms, zero_module,
                       zero_morphism)
 
 
@@ -66,7 +68,9 @@ def factor_through_epi(epi: ModuleMorphism, q: ModuleMorphism) -> ModuleMorphism
                                   linalg.transpose(q.mats[v]),
                                   epi.target.dims[v], q.target.dims[v])
         if sol is None:
-            raise RuntimeError("map does not factor through the epimorphism")
+            raise WidecatError(f"map {q.source.dims} -> {q.target.dims} does not factor "
+                               f"through the epimorphism {epi.source.dims} -> "
+                               f"{epi.target.dims} at vertex {alg.vertex_labels[v]}")
         mats[v] = linalg.transpose(sol)
     return ModuleMorphism(epi.target, q.target, mats)
 
@@ -296,7 +300,6 @@ def ext1_dim(m: Module, n: Module, pres: Presentation | None = None) -> int:
 def realize_extension(ext: ExtSpace, h: ModuleMorphism
                       ) -> tuple[Module, ModuleMorphism, ModuleMorphism]:
     """Middle term of the extension class h: (E, incl N -> E, proj E -> M)."""
-    from .modules import vstack_morphisms, sum_inclusion, hstack_morphisms
     n, m = ext.target, ext.source
     p0 = ext.pres.cplx.p0
     glue = vstack_morphisms([h, ext.pres.omega_incl.neg()])
@@ -364,7 +367,6 @@ def cone_homology(f1: ModuleMorphism, f0: ModuleMorphism,
     H^0 = coker(c.p0 + d.p1 -> d.p0) vanishes iff that map is onto, which is
     all the callers ask of it, so H^0 is not built.
     """
-    from .modules import hstack_morphisms, vstack_morphisms
     mid = direct_sum([c.p0, d.p1])
     u = hstack_morphisms([f0, d.d], source_sum=mid)
     w = vstack_morphisms([c.d.neg(), f1], target_sum=mid)

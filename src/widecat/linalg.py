@@ -43,10 +43,6 @@ def identity(field: FieldSpec, n: int) -> list[list]:
     return m
 
 
-def copy_matrix(m: list[list]) -> list[list]:
-    return [row[:] for row in m]
-
-
 def shape(m: list[list]) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
@@ -111,7 +107,7 @@ def hstack(blocks: list[list[list]]) -> list[list]:
 def vstack(blocks: list[list[list]]) -> list[list]:
     out = []
     for b in blocks:
-        out.extend(copy_matrix(b))
+        out.extend(row[:] for row in b)
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Algebra
-from .errors import AlgebraMismatch, DecompositionFailure
+from .errors import AlgebraMismatch, DecompositionFailure, WidecatError
 
 
 def _mm(field, a, b, r: int, k: int, c: int):
@@ -60,7 +60,7 @@ class Module:
             tgt = self.alg.arrows[rel[0][1][-1]].target
             acc = linalg.zeros(self.alg.field, self.dims[tgt], self.dims[src])
             for coeff, arrs in rel:
-                m = self._path_matrix(src, arrs)
+                m = self.path_action((src, arrs))
                 acc = linalg.mat_add(self.alg.field, acc, linalg.mat_scale(self.alg.field, coeff, m))
             if any(x != 0 for row in acc for x in row):
                 raise ValueError("relation does not vanish on the module")
@@ -75,17 +75,15 @@ class Module:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def _path_matrix(self, src: int, arrs: tuple[int, ...]):
+    def path_action(self, path) -> list[list]:
+        """Matrix of a path acting M_source -> M_target."""
+        src, arrs = path
         m = linalg.identity(self.alg.field, self.dims[src])
         for ai in arrs:
             a = self.alg.arrows[ai]
             m = _mm(self.alg.field, self.mats[ai], m,
                     self.dims[a.target], self.dims[a.source], self.dims[src])
         return m
-
-    def path_action(self, path) -> list[list]:
-        """Matrix of a path acting M_source -> M_target."""
-        return self._path_matrix(path[0], path[1])
 
     def __repr__(self):
         return f"Module{self.dims}"
@@ -268,12 +266,13 @@ def projective_sum(alg: Algebra, vertices: list[int]) -> tuple[Module, list[dict
     mats = {}
     for ai, a in enumerate(alg.arrows):
         m = linalg.zeros(f, dims[a.target], dims[a.source])
+        arrow = alg.path_pos[(a.source, (ai,))]
         for k, v in enumerate(vertices):
             s_off, s_paths = layout[k][a.source]
             t_off, t_paths = layout[k][a.target]
             t_pos = {pi: r for r, pi in enumerate(t_paths)}
             for c, pi in enumerate(s_paths):
-                for qi, coeff in alg.arrow_times_path(ai, pi).items():
+                for qi, coeff in alg.mult(arrow, pi).items():
                     m[t_off + t_pos[qi]][s_off + c] = coeff
         mats[ai] = m
     return Module(alg, dims, mats), layout
@@ -299,12 +298,13 @@ def injective_sum(alg: Algebra, vertices: list[int]) -> tuple[Module, list[dict]
     for ai, a in enumerate(alg.arrows):
         # a: w -> u acts (I_v)_w -> (I_v)_u by (a.phi)(q) = phi(q composed after a)
         m = linalg.zeros(f, dims[a.target], dims[a.source])
+        arrow = alg.path_pos[(a.source, (ai,))]
         for k, v in enumerate(vertices):
             s_off, s_paths = layout[k][a.source]
             t_off, t_paths = layout[k][a.target]
             s_pos = {pi: c for c, pi in enumerate(s_paths)}
             for r, qi in enumerate(t_paths):
-                for pi, coeff in alg.path_times_arrow(qi, ai).items():
+                for pi, coeff in alg.mult(qi, arrow).items():
                     m[t_off + r][s_off + s_pos[pi]] = coeff
         mats[ai] = m
     return Module(alg, dims, mats), layout
@@ -397,7 +397,9 @@ def _solve_through(fd, incl_t, big_mat, incl_s, amb_t: int, sub_t: int,
     prod = _mm(fd, big_mat, incl_s, amb_t, amb_s, sub_s)
     sol = linalg.solve_matrix(fd, incl_t, prod, sub_t, sub_s)
     if sol is None:
-        raise RuntimeError(f"{what} is not a subrepresentation (bug)")
+        raise WidecatError(
+            f"{what} is not a subrepresentation: an arrow maps its {sub_s}-dimensional "
+            f"subspace of k^{amb_s} outside its {sub_t}-dimensional subspace of k^{amb_t}")
     return sol
 
 
@@ -409,7 +411,9 @@ def factor_through_inclusion(incl: ModuleMorphism, g: ModuleMorphism) -> ModuleM
         sol = linalg.solve_matrix(alg.field, incl.mats[v], g.mats[v],
                                   incl.source.dims[v], g.source.dims[v])
         if sol is None:
-            raise RuntimeError("map does not factor through the inclusion")
+            raise WidecatError(f"map {g.source.dims} -> {g.target.dims} does not factor "
+                               f"through the inclusion {incl.source.dims} -> "
+                               f"{incl.target.dims} at vertex {alg.vertex_labels[v]}")
         mats[v] = sol
     return ModuleMorphism(g.source, incl.source, mats)
 
@@ -462,8 +466,8 @@ def cokernel(f: ModuleMorphism) -> tuple[Module, ModuleMorphism]:
 
 # -- radical, top, socle -----------------------------------------------------
 
-def radical_inclusion(m: Module) -> tuple[Module, ModuleMorphism]:
-    """rad M = sum of images of all arrow actions, as a submodule."""
+def radical_vectors(m: Module) -> dict[int, list[list]]:
+    """Per-vertex basis of rad M, the sum of the images of the arrows."""
     alg = m.alg
     vecs = {}
     for v in range(alg.n):
@@ -473,21 +477,20 @@ def radical_inclusion(m: Module) -> tuple[Module, ModuleMorphism]:
                 for j in range(m.dims[a.source]):
                     cols.append([m.mats[ai][i][j] for i in range(m.dims[v])])
         vecs[v] = [cols[k] for k in linalg.independent_columns(alg.field, [], cols)]
-    return submodule(m, vecs, "radical")
+    return vecs
+
+
+def radical_inclusion(m: Module) -> tuple[Module, ModuleMorphism]:
+    """rad M as a submodule, with its inclusion."""
+    return submodule(m, radical_vectors(m), "radical")
 
 
 def top_lifts(m: Module) -> list[tuple[int, list]]:
     """Vectors lifting a basis of M / rad M, as (vertex, coordinate vector)."""
-    alg = m.alg
-    fd = alg.field
-    _, inc = radical_inclusion(m)
-    out = []
-    for v in range(alg.n):
-        rad_cols = linalg.transpose(inc.mats[v])
-        comp = linalg.complement_basis(fd, rad_cols, m.dims[v])
-        for c in comp:
-            out.append((v, c))
-    return out
+    fd = m.alg.field
+    rad = radical_vectors(m)
+    return [(v, c) for v in range(m.alg.n)
+            for c in linalg.complement_basis(fd, rad[v], m.dims[v])]
 
 
 def socle_vectors(m: Module) -> dict[int, list[list]]:

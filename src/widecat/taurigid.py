@@ -151,10 +151,6 @@ def world(ctx: Context, members: frozenset[int]) -> WideSubcategory:
 
 
 def full_subcategory(ctx: Context) -> WideSubcategory:
-    return ctx.cached("full", _whole_module_category, ctx)
-
-
-def _whole_module_category(ctx: Context) -> WideSubcategory:
     return world(ctx, frozenset(ctx.ind_ids()))
 
 

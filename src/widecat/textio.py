@@ -8,7 +8,8 @@ File format, one statement per line, `#` starts a comment:
     relation b*a          # terms are *-joined arrow chains, applied right to left
     relation b*a - 2 d*c  # optional rational coefficients on each term
 
-All terms of a relation are paths of the same length.
+All terms of a relation are paths of the same length.  An arrow label may
+not contain `*`, `+` or `-`, the operators of a relation.
 
 Parse errors carry file name and line number.  The enumeration cache is a
 JSON snapshot of all indecomposables plus the translate and label tables,
@@ -90,6 +91,9 @@ def parse_algebra_text(text: str, filename: str = "<string>") -> QuiverPresentat
             if not m:
                 raise ParseError(
                     f"{where}: arrow syntax is `arrow <label> : <src> -> <tgt>`")
+            if set(m.group(1)) & {"*", "+", "-"}:
+                raise ParseError(f"{where}: arrow label {m.group(1)!r} contains *, + "
+                                 "or -, which a relation reads as operators")
             arrows.append((m.group(1), m.group(2), m.group(3)))
         elif head == "relation":
             if not body:

@@ -173,7 +173,7 @@ def test_paths_between_vertices():
     alg = build_algebra(TRI)
     # only the shortcut survives 1 -> 3 because the composite is a relation
     assert len(alg.paths_from_to(0, 2)) == 1
-    assert alg.path_label(alg.paths_from_to(0, 2)[0]) == "c"
+    assert alg.basis[alg.paths_from_to(0, 2)[0]] == (0, (2,))  # the arrow c
     assert len(alg.paths_from_to(0, 1)) == 1
     assert len(alg.paths_from_to(1, 0)) == 0
     assert len(alg.paths_from_to(0, 0)) == 1  # the trivial path

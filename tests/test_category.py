@@ -196,7 +196,10 @@ def test_exports_are_deterministic(tri_ctx):
     assert "black:white:black" in dot  # doubled edges render as parallel pair
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.alg")))
+# E6 is left out: parsing and re-dumping its two 32 MB exports takes
+# seconds and hundreds of MB.
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.alg")
+                                        if p.name != "e6.alg"))
 def test_export_is_its_own_sorted_indented_dump(name):
     """The export is the text `json.dumps(..., indent=2, sort_keys=True)`
     gives for it, with morphisms ordered by (source, target, compact label)."""
@@ -262,7 +265,9 @@ def test_preprojective_a3_census():
 LADDER_CENSUS = {
     "a3.alg": (6, 6, 45, 14, 14, 84, 16),
     "a4.alg": (10, 10, 197, 42, 42, 1008, 125),
+    "a5.alg": (15, 15, 903, 132, 132, 15840, 1296),
     "d4.alg": (7, 12, 233, 50, 50, 1200, 162),
+    "d5.alg": (10, 20, 1233, 182, 182, 21840, 2048),
 }
 
 
@@ -275,6 +280,26 @@ def test_ladder_census_matches_the_literature(name):
             len(stilting_objects(ctx, full)), len(enumerate_wide_subcategories(ctx)),
             len(seqs), sum(not any(e.shifts for e in s) for s in seqs)
             ) == LADDER_CENSUS[name]
+
+
+# (dim, indecomposables, s-tau-rigid incl. 0, s-tau-tilting, wide) of the
+# rungs whose sequences are too many to list here.  E6: 36 positive roots,
+# 833 Coxeter-Catalan (Ingalls-Thomas, arXiv math/0612219).  Pi(A4):
+# 5! = 120 support tau-tilting objects (Mizuno, arXiv 1304.0667); its 40
+# indecomposables and 541 objects are regression pins.
+RUNG_CENSUS = {
+    "e6.alg": (13, 36, 8177, 833, 833),
+    "preproj_a4.alg": (20, 40, 541, 120, 120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNG_CENSUS))
+def test_rung_census(name):
+    ctx = load_context(name)
+    full = full_subcategory(ctx)
+    assert (ctx.alg.dim, ctx.ind_count(), len(strigid_objects(ctx, full)),
+            len(stilting_objects(ctx, full)), len(enumerate_wide_subcategories(ctx))
+            ) == RUNG_CENSUS[name]
 
 
 def test_preprojective_census(pre_ctx, pre_ids):
@@ -306,7 +331,7 @@ def test_one_world_object_per_member_set():
     and the morphisms they hold carry no instance dict."""
     ctx = load_context("a4.alg")
     assert all(r.ok for r in run_verify(ctx))
-    kinds = ("wide_of", "world", "full", "wides", "homs")
+    kinds = ("wide_of", "world", "wides", "homs")
     values = [v for k, v in ctx.memo.items()
               if (k[0] if isinstance(k, tuple) else k) in kinds]
     worlds = [w for v in values for w in _worlds(v)]

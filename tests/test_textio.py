@@ -1,4 +1,6 @@
 """Presentation-file parsing, module JSON, and the enumeration cache."""
+import re
+
 import pytest
 
 from widecat.algebra import build_algebra
@@ -83,6 +85,17 @@ def test_parse_errors(bad):
 def test_bound_statement_is_not_part_of_the_format():
     with pytest.raises(ParseError, match=r"old\.alg:2: unknown statement 'bound'"):
         parse_algebra_text("vertex 1\nbound 12\n", "old.alg")
+
+
+@pytest.mark.parametrize("label", ["b-c", "b*c", "+b"])
+def test_arrow_label_with_a_relation_operator_is_refused(label):
+    """`relation b-c*a` would read as b - c*a, so the arrow is refused where
+    it is declared."""
+    text = (f"vertex 1\nvertex 2\nvertex 3\narrow a : 1 -> 2\n"
+            f"arrow {label} : 2 -> 3\nrelation {label}*a\n")
+    with pytest.raises(ParseError, match=(
+            rf"^ops\.alg:5: arrow label '{re.escape(label)}' contains \*, \+ or -")):
+        parse_algebra_text(text, "ops.alg")
 
 
 def test_length_one_relation_rejected():

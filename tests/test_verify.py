@@ -4,10 +4,11 @@ import weakref
 
 import pytest
 
-from widecat import reduction, sequences, verify
+from widecat import homology, reduction, sequences, verify
 from widecat.category import (WideCategory, enumerate_wide_subcategories,
                               identity_of)
 from widecat.errors import BudgetExceeded, WidecatError
+from widecat.modules import zero_morphism
 from widecat.reduction import e_table
 from widecat.taurigid import candidate_keys, full_subcategory, strigid_objects
 from widecat.verify import (SUITE_NAMES, VerificationReport, run_suite,
@@ -291,6 +292,27 @@ def test_faulty_phi_is_reported_not_raised(name, monkeypatch):
                and "raised NotExceptional" in f.counterexample
                for f in seqs.failures)
     assert all(r.ok for r in reports if r.suite != "sequences")
+
+
+def test_library_fault_in_a_cone_is_reported_not_raised(monkeypatch):
+    """`cone_homology` hands the real `factor_through_inclusion` a zero
+    inclusion, which a nonzero map cannot factor through: the library raises
+    WidecatError, and every suite on the triangle runs to its end with the
+    bijection suite naming the object it reduced by."""
+    ctx = load_context("triangle.alg")
+    real = homology.factor_through_inclusion
+    monkeypatch.setattr(homology, "factor_through_inclusion", lambda incl, g: real(
+        zero_morphism(incl.source, incl.target), g))
+    reports = run_verify(ctx)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    bijection = reports[SUITE_NAMES.index("bijection")]
+    full = full_subcategory(ctx)
+    names = [u.describe(ctx) for u in strigid_objects(ctx, full) if not u.is_zero]
+    assert any(f.check == "reduction-defined"
+               and f.counterexample.startswith(f"reducing by {u}:")
+               and "raised WidecatError: map " in f.counterexample
+               and "does not factor through the inclusion" in f.counterexample
+               for f in bijection.failures for u in names)
 
 
 def _perp_without_tau(monkeypatch):
