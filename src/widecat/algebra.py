@@ -199,7 +199,6 @@ class Algebra:
                         vec[col_of[p]] = c
                     dense.append(vec)
             reduced, pivots = linalg.rref(f, dense)
-            del reduced[len(pivots):]  # zero rows
             leads = dict(zip(pivots, reduced))
             survivors = [p for j, p in enumerate(cols) if j not in leads]
             if not survivors:

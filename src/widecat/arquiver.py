@@ -31,24 +31,21 @@ class AlmostSplitSequence:
     proj: ModuleMorphism   # middle -> right
 
 
-def _lift_endo_to_cover(pres, phi: ModuleMorphism) -> ModuleMorphism:
-    """Some phi0: P0 -> P0 with cover . phi0 = phi . cover (projectivity)."""
+def _lifts_to_cover(pres, endos: list[ModuleMorphism]) -> list[ModuleMorphism]:
+    """For each phi, some phi0: P0 -> P0 with cover . phi0 = phi . cover
+    (projectivity); one solve over the Hom(P0, P0) basis lifts them all."""
+    if not endos:
+        return []
     fd = pres.module.alg.field
-    target = phi.compose(pres.cover).flatten()
-    basis = hom_basis(pres.cplx.p0, pres.cplx.p0)
+    p0 = pres.cplx.p0
+    basis = hom_basis(p0, p0)
     cols = [pres.cover.compose(b).flatten() for b in basis]
-    sol = linalg.solve(fd, linalg.transpose(cols), target)
+    targets = [phi.compose(pres.cover).flatten() for phi in endos]
+    sol = linalg.solve_matrix(fd, linalg.transpose(cols), linalg.transpose(targets),
+                              len(basis), len(endos))
     if sol is None:
         raise WidecatError("projective lift failed (bug)")
-    return linear_combination(sol, basis, pres.cplx.p0, pres.cplx.p0)
-
-
-def _quotient_coords(fd, sub_rows: list[list], rep_vecs: list[list], v: list) -> list:
-    cols = [list(r) for r in sub_rows] + [list(r) for r in rep_vecs]
-    sol = linalg.solve(fd, linalg.transpose(cols), v)
-    if sol is None:
-        raise WidecatError("vector not in Ext presentation space (bug)")
-    return sol[len(sub_rows):]
+    return [linear_combination(coeffs, basis, p0, p0) for coeffs in linalg.transpose(sol)]
 
 
 def almost_split_sequence(m: Module) -> AlmostSplitSequence:
@@ -67,19 +64,20 @@ def almost_split_sequence(m: Module) -> AlmostSplitSequence:
     ext = ext1_space(n, m, pres)
     if ext.dim == 0:
         raise WidecatError("Ext^1(tau^{-1}M, M) vanished unexpectedly (bug)")
-    rad = local_radical_basis(n)
-    rep_vecs = [r.flatten() for r in ext.reps]
+    # coordinates on [restricted | reps]: only the class part is unique
+    ext_cols = linalg.transpose(ext.restricted + [r.flatten() for r in ext.reps])
+    nsub = len(ext.restricted)
     action_rows = []
-    for phi in rad:
-        phi0 = _lift_endo_to_cover(pres, phi)
+    for phi0 in _lifts_to_cover(pres, local_radical_basis(n)):
         omega_map = factor_through_inclusion(
             pres.omega_incl, phi0.compose(pres.omega_incl))
-        mat = []
-        for h in ext.reps:
-            vec = h.compose(omega_map).flatten()
-            mat.append(_quotient_coords(fd, ext.sub_rref, rep_vecs, vec))
+        images = [h.compose(omega_map).flatten() for h in ext.reps]
+        coords = linalg.solve_matrix(fd, ext_cols, linalg.transpose(images),
+                                     nsub + ext.dim, ext.dim)
+        if coords is None:
+            raise WidecatError("vector not in Ext presentation space (bug)")
         # columns of the action matrix are images of the basis classes
-        action_rows.extend(linalg.transpose(mat))
+        action_rows.extend(coords[nsub:])
     soc = linalg.nullspace(fd, action_rows, ext.dim)
     if len(soc) != 1:
         raise WidecatError(

@@ -32,8 +32,8 @@ from .errors import BudgetExceeded, InputError, NotSupportTauRigid
 from .fields import field_from_name
 from .sequences import (count_signed_sequences, enumerate_signed_sequences,
                         factorizations)
-from .taurigid import (CObject, WideSubcategory, full_subcategory,
-                       strigid_objects, wide_rank)
+from .taurigid import (CObject, full_subcategory, strigid_objects, wide_rank,
+                       world)
 from .textio import context_for, parse_algebra_file
 from .verify import SUITE_NAMES, run_verify
 
@@ -80,6 +80,17 @@ def _resolve_labels(ctx, names) -> list[int]:
             raise InputError(f"module label {name!r} is repeated")
         out.append(by_label[name])
     return out
+
+
+def _label_list(text: str, flag: str) -> list[str]:
+    """The JSON array of module labels given to `flag`."""
+    try:
+        names = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{flag} must be a JSON array of labels: {exc}") from exc
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise InputError(f"{flag} wants a JSON array of module labels, got {text!r}")
+    return names
 
 
 def _parse_object(ctx, names) -> CObject:
@@ -172,9 +183,9 @@ def _cmd_wide_cat(args) -> int:
 
 def _cmd_sequences(args) -> int:
     fmt = _fmt(args, ("text", "json"), "text")
-    _, ctx = _load(args)
     if args.length < 0:
         raise InputError("--length must be nonnegative")
+    _, ctx = _load(args)
     full = full_subcategory(ctx)
     if args.verb == "count":
         n = count_signed_sequences(ctx, full, args.length)
@@ -189,18 +200,13 @@ def _cmd_sequences(args) -> int:
 
 def _cmd_factorizations(args) -> int:
     fmt = _fmt(args, ("text", "json"), "text")
+    names = _label_list(args.morphism, "--morphism")
+    src_names = None if args.source is None else _label_list(args.source, "--source")
     _, ctx = _load(args)
-    try:
-        names = json.loads(args.morphism)
-        src_names = json.loads(args.source) if args.source else None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"morphism/source must be JSON arrays of labels: {exc}")
-    if not isinstance(names, list):
-        raise InputError("--morphism wants a JSON array of summand labels")
     if src_names is None:
         w = full_subcategory(ctx)
     else:
-        w = WideSubcategory(frozenset(_resolve_labels(ctx, src_names)))
+        w = world(ctx, frozenset(_resolve_labels(ctx, src_names)))
     cat = WideCategory(ctx)
     if w.key not in {o.key for o in cat.objects}:
         raise InputError("--source is not a wide subcategory here")

@@ -98,9 +98,6 @@ class FieldSpec:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- serialization ---------------------------------------------------
 
     def to_str(self, a) -> str:

@@ -126,45 +126,32 @@ def presentation_components(pres: Presentation) -> list[list[dict[int, object]]]
     return comps
 
 
-def _nu_block(alg, x: dict[int, object], v: int, w: int, u: int,
-              src_paths: list[int], tgt_paths: list[int]):
-    """Vertex-u block of nu applied to (x : P_v -> P_w), as dual of left mult.
-
-    src_paths index (I_v)_u (duals of paths u -> v), tgt_paths index
-    (I_w)_u.  Entry [q][p] = coefficient of p in x * q.
-    """
-    fd = alg.field
-    src_pos = {pi: c for c, pi in enumerate(src_paths)}
-    block = linalg.zeros(fd, len(tgt_paths), len(src_paths))
-    for r, qi in enumerate(tgt_paths):
-        for pxi, cx in x.items():
-            for pi, cp in alg.mult(pxi, qi).items():
-                if pi in src_pos:
-                    block[r][src_pos[pi]] = fd.add(block[r][src_pos[pi]],
-                                                   fd.mul(cx, cp))
-    return block
-
-
 def nakayama_map(alg: Algebra, verts1: list[int], verts0: list[int],
                  comps: list[list[dict[int, object]]]) -> ModuleMorphism:
-    """nu(d): direct sum of I_{verts1} -> direct sum of I_{verts0}."""
+    """nu(d): direct sum of I_{verts1} -> direct sum of I_{verts0}, as the
+    dual of left multiplication: block (j, i) at vertex u has entry [q][p]
+    = coefficient of p in x * q, where p runs over the duals of paths
+    u -> v_i indexing (I_{v_i})_u and q over those of (I_{w_j})_u."""
     i1, lay1 = injective_sum(alg, verts1)
     i0, lay0 = injective_sum(alg, verts0)
     fd = alg.field
     mats = {u: linalg.zeros(fd, i0.dims[u], i1.dims[u]) for u in range(alg.n)}
-    for j, w in enumerate(verts0):
-        for i, v in enumerate(verts1):
+    for j in range(len(verts0)):
+        for i in range(len(verts1)):
             x = comps[j][i]
             if not x:
                 continue
             for u in range(alg.n):
                 off_s, src_paths = lay1[i][u]
                 off_t, tgt_paths = lay0[j][u]
-                block = _nu_block(alg, x, v, w, u, src_paths, tgt_paths)
-                for r in range(len(tgt_paths)):
-                    for c in range(len(src_paths)):
-                        if block[r][c] != 0:
-                            mats[u][off_t + r][off_s + c] = block[r][c]
+                src_pos = {pi: c for c, pi in enumerate(src_paths)}
+                for r, qi in enumerate(tgt_paths):
+                    row = mats[u][off_t + r]
+                    for pxi, cx in x.items():
+                        for pi, cp in alg.mult(pxi, qi).items():
+                            if pi in src_pos:
+                                c = off_s + src_pos[pi]
+                                row[c] = fd.add(row[c], fd.mul(cx, cp))
     return ModuleMorphism(i1, i0, mats)
 
 
@@ -271,7 +258,7 @@ class ExtSpace:
     target: Module
     pres: Presentation
     reps: list[ModuleMorphism]      # Omega -> N, class representatives
-    sub_rref: list[list]            # echelonized span of restricted maps
+    restricted: list[list]          # Hom(P0, N) basis restricted to Omega, unreduced
 
     @property
     def dim(self) -> int:
@@ -281,14 +268,11 @@ class ExtSpace:
 def ext1_space(m: Module, n: Module, pres: Presentation | None = None) -> ExtSpace:
     pres = pres or minimal_presentation(m)
     full = hom_basis(pres.omega, n)
-    restricted = []
-    for f in hom_basis(pres.cplx.p0, n):
-        vec = f.compose(pres.omega_incl).flatten()
-        if any(x != 0 for x in vec):
-            restricted.append(vec)
-    sub = linalg.row_space_reduce(n.alg.field, restricted)
-    keep = linalg.independent_columns(n.alg.field, sub, [f.flatten() for f in full])
-    return ExtSpace(m, n, pres, [full[k] for k in keep], sub)
+    restricted = [f.compose(pres.omega_incl).flatten()
+                  for f in hom_basis(pres.cplx.p0, n)]
+    keep = linalg.independent_columns(n.alg.field, restricted,
+                                      [f.flatten() for f in full])
+    return ExtSpace(m, n, pres, [full[k] for k in keep], restricted)
 
 
 def ext1_dim(m: Module, n: Module, pres: Presentation | None = None) -> int:

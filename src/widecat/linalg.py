@@ -10,8 +10,10 @@ to integers and eliminated fraction-free (after Bareiss, Math. Comp. 22,
 1968), so no `Fraction` is made until an answer is read off.  It visits
 only the nonzero columns of each pivot row.  With the same pivot rule, and
 the RREF of a matrix unique, its pivot rows divided by their pivots are
-exactly the RREF of Gauss-Jordan over field elements.  `rank` and
-`independent_columns` read only the pivots.
+exactly the RREF of Gauss-Jordan over field elements.  `rref` returns
+those pivot rows and no zero rows; `rank` and `independent_columns` read
+only the pivots.  No other elimination path remains: a span-membership
+test is an `independent_columns` call.
 
 A matrix with no rows cannot carry its column count, so callers pass it to
 `nullspace` and `solve_matrix` wherever a matrix may have no rows.  Both
@@ -194,11 +196,10 @@ def _over(field: FieldSpec, values: list[int], pv: int) -> list:
 
 
 def rref(field: FieldSpec, m: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    """Reduced row echelon form without its zero rows: (pivot rows, pivot
+    column list)."""
     rows, pivots = _echelon(field, m)
-    red = [_over(field, row, row[pc]) for row, pc in zip(rows, pivots)]
-    cols = len(rows[0]) if rows else 0
-    return red + zeros(field, len(rows) - len(pivots), cols), pivots
+    return [_over(field, row, row[pc]) for row, pc in zip(rows, pivots)], pivots
 
 
 def rank(field: FieldSpec, m: list[list]) -> int:
@@ -268,23 +269,7 @@ def solve_matrix(field: FieldSpec, m: list[list], b: list[list], cols: int,
 
 def row_space_reduce(field: FieldSpec, vectors: list[list]) -> list[list]:
     """Echelonized basis of the span of the given vectors (rows)."""
-    if not vectors:
-        return []
-    red, pivots = rref(field, vectors)
-    return [red[i] for i in range(len(pivots))]
-
-
-def in_row_span(field: FieldSpec, basis_rref: list[list], v: list) -> bool:
-    """Is v in the span of an already-echelonized row basis?"""
-    v = v[:]
-    for row in basis_rref:
-        pc = next((j for j, x in enumerate(row) if x != 0), None)
-        if pc is None:
-            continue
-        if v[pc] != 0:
-            f = field.div(v[pc], row[pc])
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+    return rref(field, vectors)[0]
 
 
 def is_invertible(field: FieldSpec, m: list[list]) -> bool:

@@ -689,19 +689,15 @@ def local_radical_basis(m: Module, ends: list[ModuleMorphism] | None = None
                 "endomorphism with no rational single eigenvalue; "
                 "End(M) is not local split over the base field")
         nil_parts.append(shifted)
-    flat = [n.flatten() for n in nil_parts]
-    reduced = linalg.row_space_reduce(fd, [f for f in flat if any(x != 0 for x in f)])
+    reduced = linalg.row_space_reduce(fd, [n.flatten() for n in nil_parts])
     if len(reduced) != len(ends) - 1:
         raise DecompositionFailure("nilpotent parts do not span a hyperplane of End(M)")
     # multiplicative closure of the nilpotent span
-    span_rows = reduced
-    for a in nil_parts:
-        for b in nil_parts:
-            prod = a.compose(b).flatten()
-            if any(x != 0 for x in prod) and not linalg.in_row_span(fd, span_rows, prod):
-                raise DecompositionFailure(
-                    "nilpotent parts are not multiplicatively closed; "
-                    "cannot certify End(M) local")
+    products = [a.compose(b).flatten() for a in nil_parts for b in nil_parts]
+    if linalg.independent_columns(fd, reduced, products):
+        raise DecompositionFailure(
+            "nilpotent parts are not multiplicatively closed; "
+            "cannot certify End(M) local")
     # return morphisms matching the reduced basis
     return [morphism_from_flat(m, m, row) for row in reduced]
 

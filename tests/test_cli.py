@@ -177,9 +177,18 @@ def test_error_exit_codes(capsys, tmp_path):
     # unknown label
     code, _, err = run(capsys, "factorizations", TRI, "--morphism", '["X9"]')
     assert code == 2 and "unknown module label" in err
-    # negative length
+    # morphism or source that is not a JSON array of labels
+    for flags in (("--morphism", "[1]"), ("--morphism", "[]", "--source", "5"),
+                  ("--morphism", "[]", "--source", '"S2"')):
+        code, out, err = run(capsys, "factorizations", TRI, *flags)
+        assert code == 2 and out == "", flags
+        assert f"error: {flags[-2]} wants a JSON array of module labels" in err, flags
+    # negative length, refused before the enumeration could exceed its budget
     code, _, err = run(capsys, "sequences", "count", TRI, "--length", "-1")
     assert code == 2
+    code, _, err = run(capsys, "sequences", "count", TRI, "--length", "-1",
+                       "--budget", "2")
+    assert code == 2 and "--length must be nonnegative" in err
     # unknown verify suite
     code, _, err = run(capsys, "verify", TRI, "--suites", "nope")
     assert code == 2 and "unknown suites" in err

@@ -52,9 +52,10 @@ class TestBasics:
     def test_column_space_and_row_span(self, fd):
         m = [[fd.of(1), fd.of(2)], [fd.of(2), fd.of(4)]]
         assert linalg.independent_columns(fd, [], linalg.transpose(m)) == [0]
-        basis = linalg.row_space_reduce(fd, [[fd.of(1), fd.of(2)]])
-        assert linalg.in_row_span(fd, basis, [fd.of(2), fd.of(4)])
-        assert not linalg.in_row_span(fd, basis, [fd.of(1), fd.of(0)])
+        basis = linalg.row_space_reduce(fd, m)
+        assert basis == [[fd.of(1), fd.of(2)]]
+        assert linalg.independent_columns(
+            fd, basis, [[fd.of(2), fd.of(4)], [fd.of(1), fd.of(0)]]) == [1]
 
 
 def test_field_arithmetic_q():
@@ -129,13 +130,16 @@ def _span_problems(draw):
 
 
 def _greedy_independent(fd, base, vectors):
-    """Reference: keep v when it is outside the running span, then add it."""
-    span = linalg.row_space_reduce(fd, base)
-    kept = []
+    """Reference: keep v when it raises the rank of the running span, both
+    ranks read off the per-cell Gauss-Jordan `_reference_rref`."""
+    span, kept = list(base), []
+    rank = len(_reference_rref(fd, span)[1])
     for k, v in enumerate(vectors):
-        if not linalg.in_row_span(fd, span, v):
+        grown = len(_reference_rref(fd, span + [v])[1])
+        if grown > rank:
             kept.append(k)
-            span = linalg.row_space_reduce(fd, span + [v])
+            span.append(v)
+            rank = grown
     return kept
 
 
@@ -320,7 +324,8 @@ def test_rref_rank_and_nullspace_match_generic_gauss_jordan(fd, data):
     cols = len(m[0])
     want, want_pivots = _reference_rref(fd, m)
     red, pivots = linalg.rref(fd, m)
-    assert (red, pivots) == (want, want_pivots)
+    assert (red, pivots) == (want[:len(want_pivots)], want_pivots)
+    assert all(x == 0 for row in want[len(want_pivots):] for x in row)
     _assert_elements(fd, red)
     assert linalg.rank(fd, m) == len(want_pivots)
     basis = linalg.nullspace(fd, m, cols)
@@ -369,7 +374,7 @@ def _reference_products(fd, m, x0, v, c):
 
 @pytest.mark.parametrize("fd", FIELDS, ids=lambda f: f.name())
 def test_kernel_makes_no_per_cell_field_calls(fd, monkeypatch):
-    """rref, nullspace, solve_matrix and the four products run without
+    """Every elimination of `linalg` and the four products run without
     FieldSpec arithmetic, and keep the values and element types."""
     m = [[fd.of(Fraction((3 * i + 5 * j) % 7 - 3, 1 + (i * j) % 4)) for j in range(8)]
          for i in range(6)]
@@ -377,19 +382,40 @@ def test_kernel_makes_no_per_cell_field_calls(fd, monkeypatch):
     x0 = [[fd.of(j - i) for j in range(2)] for i in range(8)]
     v, c = [fd.of(Fraction(j % 3, 2)) for j in range(8)], fd.of(Fraction(-5, 3))
     b = _reference_products(fd, m, x0, v, c)[0]
-    want = (_reference_rref(fd, m), _reference_nullspace(fd, m, 8),
-            _reference_solve_matrix(fd, m, b, 8)) + _reference_products(fd, m, x0, v, c)
+    # an invertible 5 x 5 matrix: lower times upper unitriangular
+    low = [[fd.of(Fraction(i - j + 2, 1 + j)) if j <= i else fd.zero for j in range(5)]
+           for i in range(5)]
+    up = [[fd.of(Fraction(j - i, 2)) if j > i else fd.of(int(i == j)) for j in range(5)]
+          for i in range(5)]
+    sq = _reference_products(fd, low, up, v[:5], c)[0]
+    red, pivots = _reference_rref(fd, m)
+    rank = len(pivots)
+    assert rank == 5 and all(x == 0 for row in red[rank:] for x in row)
+    free_units = _reference_rref(fd, linalg.transpose(m + linalg.identity(fd, 8)))[1]
+    inv = _reference_solve_matrix(fd, sq, linalg.identity(fd, 5), 5)
+    assert inv is not None
+    want = ((red[:rank], pivots), _reference_nullspace(fd, m, 8),
+            _reference_solve_matrix(fd, m, b, 8), rank,
+            [k - 2 for k in _reference_rref(fd, linalg.transpose(m))[1] if k >= 2],
+            red[:rank], [linalg.identity(fd, 8)[k - 6] for k in free_units if k >= 6],
+            [row[0] for row in _reference_solve_matrix(fd, m, [[r[0]] for r in b], 8)],
+            inv) + _reference_products(fd, m, x0, v, c)
 
     def boom(*args):
         raise AssertionError("per-cell FieldSpec arithmetic in the kernel")
     for name in ("add", "sub", "mul", "inv"):
         monkeypatch.setattr(FieldSpec, name, boom)
     got = (linalg.rref(fd, m), linalg.nullspace(fd, m, 8),
-           linalg.solve_matrix(fd, m, b, 8, 2), linalg.matmul(fd, m, x0),
-           linalg.mat_vec(fd, m, v), linalg.mat_add(fd, m, m[::-1]),
-           linalg.mat_scale(fd, c, m))
+           linalg.solve_matrix(fd, m, b, 8, 2), linalg.rank(fd, m),
+           linalg.independent_columns(fd, m[:2], m[2:]),
+           linalg.row_space_reduce(fd, m), linalg.complement_basis(fd, m, 8),
+           linalg.solve(fd, m, [r[0] for r in b]), linalg.inverse(fd, sq),
+           linalg.matmul(fd, m, x0), linalg.mat_vec(fd, m, v),
+           linalg.mat_add(fd, m, m[::-1]), linalg.mat_scale(fd, c, m))
     monkeypatch.undo()
     assert got == want
-    cells = [x for k in (3, 5, 6) for row in got[k] for x in row] + got[4]
+    for mat in (got[0][0], got[1], got[2], got[5], [got[7]], got[8]):
+        _assert_elements(fd, mat)
+    cells = [x for k in (9, 11, 12) for row in got[k] for x in row] + got[10]
     assert {type(x) for x in cells} == {int if fd.p else Fraction}
-    assert len(want[1]) == 8 - len(want[0][1]) >= 3
+    assert len(want[1]) == 8 - rank >= 3

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from widecat import build_algebra
+from widecat import DecompositionFailure, QuiverPresentation, build_algebra
 from widecat.modules import (Module, decompose, direct_sum, hom_basis,
                              image, indec_isomorphic, injective_envelope,
                              injective_sum, is_indecomposable, is_isomorphic,
-                             kernel, cokernel, projective_cover, projective_sum,
-                             simple_module, zero_module, identity_morphism,
-                             zero_morphism)
+                             kernel, cokernel, local_radical_basis,
+                             morphism_from_flat, projective_cover,
+                             projective_module, projective_sum, simple_module,
+                             zero_module, identity_morphism, zero_morphism)
 from conftest import load_presentation
 
 
@@ -118,6 +119,34 @@ def test_module_validation_rejects_bad_shapes():
     alg = build_algebra(load_presentation("a2.alg"))
     with pytest.raises(Exception):
         Module(alg, (1, 1), {0: [[alg.field.of(1), alg.field.of(1)]]}, check=True)
+
+
+def test_radical_certificate_refuses_a_span_not_closed_under_products():
+    """End(S + S) is the 2 x 2 matrices: the matrix units e12 and e21 are
+    nilpotent and span a hyperplane with the identity, but e12 e21 = e11
+    lies outside their span."""
+    alg = build_algebra(load_presentation("a2.alg"))
+    s = simple_module(alg, 0)
+    m = direct_sum([s, s])
+    one, zero = alg.field.one, alg.field.zero
+    ends = [identity_morphism(m), morphism_from_flat(m, m, [zero, one, zero, zero]),
+            morphism_from_flat(m, m, [zero, zero, one, zero])]
+    with pytest.raises(DecompositionFailure, match="not multiplicatively closed"):
+        local_radical_basis(m, ends)
+
+
+def test_radical_of_a_local_end_ring_with_nonzero_products():
+    """End(P1) of k[l]/(l^3) is k[l]/(l^3): its radical has the basis
+    (l, l^2), and l . l = l^2 is a nonzero product inside the span."""
+    alg = build_algebra(QuiverPresentation(
+        vertices=("1",), arrows=(("l", "1", "1"),),
+        relations=((("1", ("l",) * 3),),)))
+    rad = local_radical_basis(projective_module(alg, 0))
+    assert len(rad) == 2
+    by_rank = sorted(rad, key=lambda f: f.rank())
+    assert [f.rank() for f in by_rank] == [1, 2]
+    square = by_rank[1].compose(by_rank[1])
+    assert not square.is_zero and square.rank() == 1
 
 
 _A2 = build_algebra(load_presentation("a2.alg"))

@@ -1,5 +1,6 @@
 """Theorem verification suites: green on the corpus, and able to catch bugs."""
 import gc
+import re
 import weakref
 
 import pytest
@@ -344,6 +345,49 @@ def test_planted_reduction_fault_is_reported_not_raised(name, plant, monkeypatch
     names = [u.describe(ctx) for u in strigid_objects(ctx, full) if not u.is_zero]
     assert any(f" by {u} in mod: " in f.counterexample
                for r in reports for f in r.failures for u in names)
+
+
+def _cone_without_approximation(case):
+    """The cone of `case` is taken over no approximation by the U-summands."""
+    cone = reduction._cone_reduction
+
+    def plant(monkeypatch):
+        monkeypatch.setattr(
+            reduction, "_cone_reduction",
+            lambda ctx, w, w1, u_ids, target, h0, what: cone(
+                ctx, w, w1, () if what == case else u_ids, target, h0, what))
+    return plant
+
+
+def _module_stage_drops_shifts(monkeypatch):
+    """Case I hands every summand on to case II as a module, unshifted."""
+    stage = reduction._e_module_stage
+    monkeypatch.setattr(reduction, "_e_module_stage", lambda ctx, w, u_ids, key: (
+        "m", stage(ctx, w, u_ids, key)[1]))
+
+
+@pytest.mark.parametrize("plant, case", [
+    (_cone_without_approximation("case I(b)"), "I(b)"),
+    (_cone_without_approximation("case I(c)"), "I(c)"),
+    (_module_stage_drops_shifts, "II(a)"),
+], ids=["case-Ib-unapproximated", "case-Ic-unapproximated", "case-IIa-unshifted"])
+@pytest.mark.parametrize("name", ["triangle.alg", "a3.alg"])
+def test_planted_case_fault_names_world_object_and_summand(name, plant, case,
+                                                           monkeypatch):
+    """Every suite runs to its end, and a failure names the case that caught
+    the fault with the summand, the object reduced by and the world."""
+    ctx = load_context(name)
+    full = full_subcategory(ctx)
+    objects = {u.describe(ctx) for u in strigid_objects(ctx, full) if not u.is_zero}
+    labels = {ctx.label(i) for i in ctx.ind_ids()}
+    plant(monkeypatch)
+    reports = run_verify(ctx)
+    assert [r.suite for r in reports] == list(SUITE_NAMES)
+    caught = re.compile(rf"reducing (\S+) by (\S+) in mod: case {re.escape(case)}: ")
+    named = [m.groups() for r in reports for f in r.failures
+             for m in [caught.search(f.counterexample)] if m]
+    assert named
+    assert all(x.removesuffix("[1]") in labels and u in objects for x, u in named)
 
 
 def _phi_inverse_reduces_nothing(monkeypatch):
